@@ -21,7 +21,9 @@ type Fact struct {
 // facts of the same predicate share one epoch stamp, one journal run
 // (a single group commit under SyncAlways), and one watcher
 // notification, so incremental subscribers observe the whole run as a
-// single delta round.
+// single delta round. The database epoch still advances once per
+// accepted fact, so a follower applying the batch reaches the same
+// epoch as the primary.
 //
 // The return counts facts that were genuinely new (duplicates insert
 // as no-ops, exactly as InsertFact). Under a MaxFacts quota the batch

@@ -19,15 +19,27 @@ package onesided
 //	state_arity  carry tuple width
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/eval"
+	"repro/internal/multi"
 	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
+
+// evalPlan opens a compiled plan without streaming and returns its
+// one-shot answers and statistics.
+func evalPlan(p *eval.Plan, db *storage.Database) (*storage.Relation, eval.EvalStats, error) {
+	inc, err := p.Open(context.Background(), db, nil)
+	if err != nil {
+		return nil, eval.EvalStats{}, err
+	}
+	return inc.Answers(), inc.Stats(), nil
+}
 
 var tcDef = parser.MustParseDefinition(`
 	t(X, Y) :- a(X, Z), t(Z, Y).
@@ -87,7 +99,7 @@ func BenchmarkFig7(b *testing.B) {
 			var st eval.EvalStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel, s, err := plan.Eval(w.DB)
+				rel, s, err := evalPlan(plan, w.DB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,7 +175,7 @@ func BenchmarkFig8(b *testing.B) {
 			var st eval.EvalStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel, s, err := plan.Eval(w.db)
+				rel, s, err := evalPlan(plan, w.db)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -224,7 +236,7 @@ func BenchmarkFig9Example34(b *testing.B) {
 		var st eval.EvalStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -274,7 +286,7 @@ func BenchmarkLemma42(b *testing.B) {
 			var st eval.EvalStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel, s, err := plan.Eval(db)
+				rel, s, err := evalPlan(plan, db)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -361,7 +373,7 @@ func BenchmarkPermissions(b *testing.B) {
 		var st eval.EvalStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -392,7 +404,7 @@ func BenchmarkPermissions(b *testing.B) {
 		var st eval.EvalStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -437,7 +449,7 @@ func BenchmarkCounting(b *testing.B) {
 		var st eval.EvalStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -558,7 +570,7 @@ func BenchmarkMultiRule(b *testing.B) {
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, mode, err := EvalMultiSelection(md, q, db)
+			rel, mode, err := multi.EvalSelection(md, q, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -603,7 +615,7 @@ func BenchmarkCountingAblation(b *testing.B) {
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -652,7 +664,7 @@ func BenchmarkMarketPipeline(b *testing.B) {
 		var st eval.EvalStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.Eval(db)
+			rel, s, err := evalPlan(plan, db)
 			if err != nil {
 				b.Fatal(err)
 			}

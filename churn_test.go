@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // liveFact is one base fact the churn test knows to be present.
@@ -68,8 +70,31 @@ func snapshotLive(db *Database) *liveSet {
 	return s
 }
 
+// churnExamples is bindExamples plus a second multi-rule recursion:
+// two linear recursive rules with the bound column persistent in both,
+// which the multi strategy answers — and maintains — through the
+// reduced program's retained fixpoint.
+func churnExamples() []bindExample {
+	return append(bindExamples(), bindExample{
+		name: "transit",
+		open: func(t *testing.T) *Engine {
+			return openWith(t, nil, `
+				t(X, Y) :- rail(X, Z), t(Z, Y).
+				t(X, Y) :- bus(X, Z), t(Z, Y).
+				t(X, Y) :- home(X, Y).
+				rail(s0, s1). rail(s1, s2). bus(s2, s3). bus(s0, s3).
+				home(s3, depot). home(s1, base).
+			`)
+		},
+		shape:    "t(X, %s)",
+		consts:   []string{"depot", "base"},
+		strategy: "multi",
+	})
+}
+
 // TestChurnEquivalenceAcrossExamples is the randomized signed-delta
-// property test: for each of the five example programs, interleave
+// property test: for each of the five example programs (and the extra
+// multi-rule recursion of churnExamples), interleave
 // random base-fact inserts AND retractions with maintained queries, and
 // assert after every step that (a) the engine's cached, delta-maintained
 // answers are set-equal to a from-scratch recompute over the current
@@ -80,7 +105,7 @@ func snapshotLive(db *Database) *liveSet {
 func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 	ctx := context.Background()
 	specs := incInsertSpecs()
-	for _, exm := range bindExamples() {
+	for _, exm := range churnExamples() {
 		exm := exm
 		t.Run(exm.name, func(t *testing.T) {
 			gens, ok := specs[exm.name]
@@ -182,7 +207,10 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d %v: %v", step, ground, err)
 				}
-				oracle, _, err := SelectEval(prog, ground, eng.DB())
+				if got := rows.Explain().Strategy; got != exm.strategy {
+					t.Fatalf("step %d %v: strategy %s, want %s", step, ground, got, exm.strategy)
+				}
+				oracle, _, err := eval.SelectEval(prog, ground, eng.DB())
 				if err != nil {
 					t.Fatalf("step %d oracle: %v", step, err)
 				}

@@ -613,16 +613,16 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 func (pq *PreparedQuery) queryDirect(ctx context.Context) (*Rows, error) {
 	db := pq.engine.db
 	before := db.Stats.Snapshot()
-	rel, stats, err := pq.prepared.Eval(ctx, db)
+	inc, err := pq.prepared.Open(ctx, db, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Rows{
-		rel:      rel,
+		rel:      inc.Answers(),
 		syms:     db.Syms,
-		stats:    stats,
+		stats:    inc.Stats(),
 		counters: db.Stats.Snapshot().Sub(before),
-		explain:  pq.explainWithStats(stats),
+		explain:  pq.explainWithStats(inc.Stats()),
 	}, nil
 }
 
@@ -723,28 +723,28 @@ func (e *Engine) collectDelta(stamp uint64) (eval.Delta, bool) {
 		if !ok {
 			return eval.Delta{}, false
 		}
-		if len(sd.Added) > 0 {
-			nr := storage.NewRelation(r.Arity(), nil)
-			for _, t := range sd.Added {
-				nr.Insert(t)
-			}
-			if d.Add == nil {
-				d.Add = make(map[string]*storage.Relation)
-			}
-			d.Add[pred] = nr
-		}
-		if len(sd.Removed) > 0 {
-			nr := storage.NewRelation(r.Arity(), nil)
-			for _, t := range sd.Removed {
-				nr.Insert(t)
-			}
-			if d.Del == nil {
-				d.Del = make(map[string]*storage.Relation)
-			}
-			d.Del[pred] = nr
-		}
+		d.Add = withDeltaRel(d.Add, pred, r.Arity(), sd.Added)
+		d.Del = withDeltaRel(d.Del, pred, r.Arity(), sd.Removed)
 	}
 	return d, true
+}
+
+// withDeltaRel indexes one predicate's delta tuples into a relation
+// stored under pred in m, allocating m on first use; an empty run adds
+// nothing, so an unchanged direction stays absent from the delta.
+func withDeltaRel(m map[string]*storage.Relation, pred string, arity int, tuples []storage.Tuple) map[string]*storage.Relation {
+	if len(tuples) == 0 {
+		return m
+	}
+	rel := storage.NewRelation(arity, nil)
+	for _, t := range tuples {
+		rel.Insert(t)
+	}
+	if m == nil {
+		m = make(map[string]*storage.Relation)
+	}
+	m[pred] = rel
+	return m
 }
 
 // queryCached serves a prepared query through the bound-result cache.
@@ -815,19 +815,11 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 			return nil, false, nil
 		}
 		newStamp := db.Epoch()
-		if ip, ok := pq.prepared.(eval.IncrementalPrepared); ok && ip.Incremental() {
-			inc, berr := ip.EvalIncremental(ctx, db)
-			if berr != nil {
-				return nil, true, berr
-			}
-			entry.inc, entry.rel, entry.stats = inc, inc.Answers(), inc.Stats()
-		} else {
-			rel, stats, berr := pq.prepared.Eval(ctx, db)
-			if berr != nil {
-				return nil, true, berr
-			}
-			entry.inc, entry.rel, entry.stats = nil, rel, stats
+		inc, berr := pq.prepared.Open(ctx, db, nil)
+		if berr != nil {
+			return nil, true, berr
 		}
+		entry.inc, entry.rel, entry.stats = inc, inc.Answers(), inc.Stats()
 		entry.gen = curGen
 		entry.stamp = newStamp
 		e.resRebuilt.Add(1)
@@ -865,10 +857,10 @@ func (e *Engine) storeBatchResult(pq *PreparedQuery, gen, stamp uint64, rel *sto
 // as it is derived — for one-sided context plans that means first
 // answers arrive while the Fig. 9 fixpoint is still running — and the
 // remaining accessors (Len, Strings, Stats, Counters, Explain, Err)
-// block until the evaluation finishes. Strategies without incremental
-// evaluation fall back to evaluating fully and then streaming the
-// materialized answers. Breaking out of All stops the evaluation early;
-// check Err for the terminal status.
+// block until the evaluation finishes. Strategies that materialize
+// before they can emit stream their answers once materialized.
+// Breaking out of All stops the evaluation early; check Err for the
+// terminal status.
 func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 	if ctx == nil {
 		ctx = context.Background()
@@ -907,30 +899,16 @@ func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 		defer close(rows.ch)
 		var rel *storage.Relation
 		var stats eval.EvalStats
-		var err error
-		if sp, ok := pq.prepared.(eval.StreamingPrepared); ok {
-			rel, stats, err = sp.EvalStream(ctx, db, emit)
+		inc, err := pq.prepared.Open(ctx, db, emit)
+		if err == nil {
+			rel, stats = inc.Answers(), inc.Stats()
 		} else {
-			rel, stats, err = pq.prepared.Eval(ctx, db)
-			if err == nil {
-				for _, t := range rel.Tuples() {
-					if !emit(t) {
-						// A ctx-driven stop is a cancellation; a consumer
-						// break is cleared by the stopped check below.
-						if cerr := ctx.Err(); cerr != nil {
-							err = cerr
-						}
-						break
-					}
-				}
-			}
+			rel = storage.NewRelation(pq.query.Arity(), nil)
 		}
 		if stopped.Load() {
-			// The consumer broke out of All; report a clean early stop.
+			// The consumer broke out of All (which also cancels ctx);
+			// report a clean early stop.
 			err = nil
-		}
-		if rel == nil {
-			rel = storage.NewRelation(pq.query.Arity(), nil)
 		}
 		rows.rel = rel
 		rows.stats = stats

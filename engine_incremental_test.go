@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // TestResultCacheHitUpdateRebuild walks one bound query through the
@@ -151,9 +153,9 @@ type incInsertSpec struct {
 	args func(rng *rand.Rand, step int) []string
 }
 
-// incInsertSpecs maps bindExamples names to their base-relation fact
-// generators: a mix of pool constants (densifying the existing graph)
-// and fresh ones (growing it).
+// incInsertSpecs maps bindExamples (and churnExamples) names to their
+// base-relation fact generators: a mix of pool constants (densifying
+// the existing graph) and fresh ones (growing it).
 func incInsertSpecs() map[string][]incInsertSpec {
 	pick := func(rng *rand.Rand, pool []string) string { return pool[rng.Intn(len(pool))] }
 	cities := []string{"paris", "lyon", "marseille", "toulon", "nice", "grenoble"}
@@ -174,6 +176,7 @@ func incInsertSpecs() map[string][]incInsertSpec {
 	apt := func(rng *rand.Rand) string { return fmt.Sprintf("apt%d", rng.Intn(60)) }
 	people := func(rng *rand.Rand) string { return fmt.Sprintf("f%d_p%d", rng.Intn(3), rng.Intn(4)) }
 	market := func(rng *rand.Rand) string { return fmt.Sprintf("p%d_%d", rng.Intn(8), rng.Intn(4)) }
+	station := func(rng *rand.Rand) string { return fmt.Sprintf("s%d", rng.Intn(6)) }
 	return map[string][]incInsertSpec{
 		"quickstart":    quickstart,
 		"quickstart-fb": quickstart,
@@ -204,6 +207,13 @@ func incInsertSpecs() map[string][]incInsertSpec {
 			{"bq", func(rng *rand.Rand, step int) []string { return []string{fmt.Sprintf("k%d", rng.Intn(4))} }},
 			{"eq", func(rng *rand.Rand, step int) []string {
 				return []string{fmt.Sprintf("k%d", rng.Intn(4)), fmt.Sprintf("k%d", rng.Intn(4))}
+			}},
+		},
+		"transit": {
+			{"rail", func(rng *rand.Rand, step int) []string { return []string{station(rng), station(rng)} }},
+			{"bus", func(rng *rand.Rand, step int) []string { return []string{station(rng), station(rng)} }},
+			{"home", func(rng *rand.Rand, step int) []string {
+				return []string{station(rng), pick(rng, []string{"depot", "base", "yard"})}
 			}},
 		},
 	}
@@ -239,7 +249,7 @@ func TestIncrementalEquivalenceAcrossExamples(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d %v: %v", step, ground, err)
 				}
-				oracle, _, err := SelectEval(prog, ground, eng.DB())
+				oracle, _, err := eval.SelectEval(prog, ground, eng.DB())
 				if err != nil {
 					t.Fatalf("step %d oracle: %v", step, err)
 				}

@@ -1,6 +1,7 @@
 package onesided
 
 import (
+	"context"
 	"testing"
 )
 
@@ -85,23 +86,13 @@ func TestPublicAPIMultiRule(t *testing.T) {
 	db.AddFact("rail", "x", "y")
 	db.AddFact("bus", "y", "z")
 	db.AddFact("home", "z", "base")
-	q, _ := ParseQuery("t(X, base)")
-	ans, mode, err := EvalMultiSelection(md, q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != "reduced" {
-		t.Fatalf("mode = %s", mode)
-	}
+	ans := queryWith(t, "multi", md.Program(), db, "t(X, base)")
 	got := Answers(ans, db)
 	if len(got) != 3 {
 		t.Fatalf("answers = %v", got)
 	}
 	// Same answers through magic.
-	want, _, err := MagicEval(md.Program(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := queryWith(t, "magic", md.Program(), db, "t(X, base)")
 	if !ans.Equal(want) {
 		t.Fatal("reduced multi evaluation disagrees with magic")
 	}
@@ -123,10 +114,11 @@ func TestPublicAPICountingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, _, err := plan.Eval(db)
+	st, err := plan.Open(context.Background(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := st.Answers()
 	counted, _, err := plan.EvalCounting(db, 50)
 	if err != nil {
 		t.Fatal(err)

@@ -153,23 +153,24 @@ func evalBatchFallback(ctx context.Context, edb *storage.Database, bound []*Plan
 	rels := make([]*storage.Relation, k)
 	var stats EvalStats
 	if identical {
-		rel, st, err := bound[0].EvalCtx(ctx, edb)
+		inc, err := bound[0].Open(ctx, edb, nil)
 		if err != nil {
-			return nil, st, err
+			return nil, stats, err
 		}
 		for i := range rels {
-			rels[i] = rel
+			rels[i] = inc.Answers()
 		}
+		st := inc.Stats()
 		st.BatchQueries = k
 		return rels, st, nil
 	}
 	for i, bp := range bound {
-		rel, st, err := bp.EvalCtx(ctx, edb)
+		inc, err := bp.Open(ctx, edb, nil)
 		if err != nil {
 			return nil, stats, err
 		}
-		rels[i] = rel
-		stats = addBatchStats(stats, st)
+		rels[i] = inc.Answers()
+		stats = addBatchStats(stats, inc.Stats())
 	}
 	stats.BatchQueries = k
 	return rels, stats, nil

@@ -107,7 +107,7 @@ func TestFig8MatchesCompiledPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, _, err := plan.Eval(db)
+		rel, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestExpE15Lemma42(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}

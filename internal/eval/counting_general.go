@@ -78,7 +78,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 	// factoring when factored anchors exist.
 	for _, fg := range p.factored {
 		if len(fg.anchors) > 0 {
-			return nil, stats, fmt.Errorf("eval: counting driver does not support factored anchors; use Eval")
+			return nil, stats, fmt.Errorf("eval: counting driver does not support factored anchors; use Plan.Open")
 		}
 	}
 

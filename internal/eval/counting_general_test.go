@@ -34,7 +34,7 @@ func TestCountingGeneralMatchesEvalOnDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := plan.Eval(db)
+	want, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCountingGeneralDivergesOnCycle(t *testing.T) {
 	if _, _, err := plan.EvalCounting(db, 20); err == nil {
 		t.Fatal("expected divergence error on cyclic data")
 	}
-	if _, _, err := plan.Eval(db); err != nil {
+	if _, _, err := evalPlan(plan, db); err != nil {
 		t.Fatalf("seen-set evaluation must terminate: %v", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestCountingGeneralStateBlowup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evalStats, err := plan.Eval(db)
+	_, evalStats, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCountingGeneralPermissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := plan.Eval(db)
+	want, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,18 @@
 // boundaries, so parallel evaluation derives exactly the sequential
 // answer set.
 //
-// # Streaming
+// # One entry point: Open
 //
-// Plan.EvalStreamCtx (surfaced through the StreamingPrepared interface)
-// emits each distinct answer as soon as it is derived: the exit-rule
-// depth-0 answers before the loop starts, then each batch's g-join
-// answers while deeper levels are still being explored. This is what
-// lets Engine.QueryStream yield first answers before the fixpoint
-// completes.
+// Every prepared plan evaluates through PreparedStrategy.Open, which
+// returns the evaluation's state (Incremental): Answers and Stats are
+// the one-shot result, Update maintains it under signed base deltas,
+// and plans that retain nothing maintainable return a fixed state whose
+// Update reports ErrRebuild. Open's emit sink streams each distinct
+// answer as soon as it is derived; context-mode plans (Plan.Open) emit
+// the exit-rule depth-0 answers before the loop starts, then each
+// batch's g-join answers while deeper levels are still being explored.
+// This is what lets Engine.QueryStream yield first answers before the
+// fixpoint completes.
 //
 // # Adornment-keyed skeletons and batching
 //

@@ -26,7 +26,7 @@ func TestOneSidedConstantsInRecursiveBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Eval(db)
+	got, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestOneSidedConstantInRecursiveCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestOneSidedRecursiveAtomFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestOneSidedEmptyRelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestOneSidedEmptyRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Eval(db)
+	got, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestOneSidedUnknownConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Eval(db)
+	got, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSelectEvalProjectionQueryShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}

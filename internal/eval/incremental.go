@@ -42,49 +42,18 @@ func (d Delta) Empty() bool { return len(d.Add) == 0 && len(d.Del) == 0 }
 // HasDel reports whether any predicate has retracted tuples.
 func (d Delta) HasDel() bool { return len(d.Del) > 0 }
 
-// NewDelta builds an insert-only Delta from per-predicate tuple slices,
-// dropping empty ones.
-func NewDelta(changes map[string][]storage.Tuple, arities func(pred string) int) Delta {
-	return Delta{Add: relationsOf(changes, arities)}
-}
-
-// NewSignedDelta builds a Delta with both directions populated from
-// per-predicate tuple slices, dropping empty ones.
-func NewSignedDelta(added, removed map[string][]storage.Tuple, arities func(pred string) int) Delta {
-	return Delta{Add: relationsOf(added, arities), Del: relationsOf(removed, arities)}
-}
-
-// relationsOf indexes per-predicate tuple slices into relations.
-func relationsOf(changes map[string][]storage.Tuple, arities func(pred string) int) map[string]*storage.Relation {
-	if len(changes) == 0 {
-		return nil
-	}
-	m := make(map[string]*storage.Relation, len(changes))
-	for pred, tuples := range changes {
-		if len(tuples) == 0 {
-			continue
-		}
-		rel := storage.NewRelation(arities(pred), nil)
-		for _, t := range tuples {
-			rel.Insert(t)
-		}
-		m[pred] = rel
-	}
-	return m
-}
-
 // ErrRebuild is returned by Incremental.Update when the retained state
 // cannot absorb the delta — an empty factor-group guard may have
 // flipped, or a relation shape changed. The caller falls back to a full
 // re-evaluation; answers are never silently wrong.
 var ErrRebuild = errors.New("eval: retained state cannot absorb the delta; re-evaluate")
 
-// Incremental is a maintained evaluation: the materialized answer
-// relation plus whatever fixpoint state Update needs to extend it with
-// newly inserted base tuples. Answers returns the live relation —
-// Update grows it in place. An Incremental is not safe for concurrent
-// use; callers serialize Update (the engine's result cache holds one
-// lock per cached entry).
+// Incremental is the state PreparedStrategy.Open returns: the
+// materialized answer relation plus whatever fixpoint state Update
+// needs to maintain it under base-relation deltas. Answers returns the
+// live relation — Update changes it in place. An Incremental is not
+// safe for concurrent use; callers serialize Update (the engine's
+// result cache holds one lock per cached entry).
 //
 // A non-nil Update error — ErrRebuild or a context cancellation —
 // POISONS the state: the pass may have claimed work into its retained
@@ -96,15 +65,40 @@ type Incremental interface {
 	Update(ctx context.Context, edb *storage.Database, delta Delta) error
 }
 
-// IncrementalPrepared is implemented by prepared plans that can
-// evaluate into a maintainable state. Incremental reports whether this
-// particular plan instance supports maintenance (a strategy may support
-// it only for some plan shapes); when false, EvalIncremental must not
-// be called and the caller re-evaluates on every change.
-type IncrementalPrepared interface {
-	PreparedStrategy
-	Incremental() bool
-	EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error)
+// fixedState is the state of an evaluation that retains nothing to
+// maintain: its answers are final, and every Update asks for a rebuild.
+type fixedState struct {
+	ans   *storage.Relation
+	stats EvalStats
+}
+
+func (f *fixedState) Answers() *storage.Relation { return f.ans }
+func (f *fixedState) Stats() EvalStats           { return f.stats }
+
+func (f *fixedState) Update(context.Context, *storage.Database, Delta) error { return ErrRebuild }
+
+// stopped ends an Open whose emit returned false: a cancellation when
+// ctx fired, otherwise a clean early stop whose answers so far come
+// back as a fixed state.
+func stopped(ctx context.Context, ans *storage.Relation, stats EvalStats) (Incremental, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &fixedState{ans: ans, stats: stats}, nil
+}
+
+// streamed finishes the Open of a plan that materializes its answers
+// before it can emit any: ans streams through emit (nil when unused),
+// and st is the state returned.
+func streamed(ctx context.Context, ans *storage.Relation, emit func(storage.Tuple) bool, st Incremental) (Incremental, error) {
+	if emit != nil {
+		for _, t := range ans.Tuples() {
+			if !emit(t) {
+				return stopped(ctx, ans, st.Stats())
+			}
+		}
+	}
+	return st, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +108,8 @@ type IncrementalPrepared interface {
 // contextEval (seen-set, answers, compiled full operators) plus
 // lazily compiled delta variants of the d0, seed, f, and g
 // conjunctions, cached by body-atom index so repeated maintenance
-// passes — the hot insert→re-query cycle — pay compilation once.
+// passes — the hot insert→re-query cycle — pay compilation once. The
+// caches start nil: a one-shot evaluation never pays for them.
 type incContext struct {
 	plan  *Plan
 	ce    *contextEval
@@ -135,45 +130,41 @@ type gVarOps struct {
 func (ic *incContext) Answers() *storage.Relation { return ic.ce.ans }
 func (ic *incContext) Stats() EvalStats           { return ic.ce.stats }
 
-// fVar returns the cached f delta variant for recursive-body index i.
+// cachedVar returns the delta variant cached in *m under body index i,
+// compiling (and caching) it on first use.
+func cachedVar[V any](m *map[int]V, i int, compile func() V) V {
+	if v, ok := (*m)[i]; ok {
+		return v
+	}
+	if *m == nil {
+		*m = make(map[int]V)
+	}
+	v := compile()
+	(*m)[i] = v
+	return v
+}
+
+// fVar returns the f delta variant for recursive-body index i.
 func (ic *incContext) fVar(i int) fOps {
-	if v, ok := ic.fVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileF(ic.ce.syms, i)
-	ic.fVars[i] = v
-	return v
+	return cachedVar(&ic.fVars, i, func() fOps { return ic.plan.compileF(ic.ce.syms, i) })
 }
 
-// gVar returns the cached g delta variant for exit-body index i.
+// gVar returns the g delta variant for exit-body index i.
 func (ic *incContext) gVar(i int) gVarOps {
-	if v, ok := ic.gVars[i]; ok {
-		return v
-	}
-	ops := ic.plan.compileG(ic.ce.syms, i)
-	v := gVarOps{ops: ops, srcs: fillQueryConsts(ops.srcs, ic.plan.queryConsts(ic.ce.syms))}
-	ic.gVars[i] = v
-	return v
+	return cachedVar(&ic.gVars, i, func() gVarOps {
+		ops := ic.plan.compileG(ic.ce.syms, i)
+		return gVarOps{ops: ops, srcs: fillQueryConsts(ops.srcs, ic.plan.queryConsts(ic.ce.syms))}
+	})
 }
 
-// d0Var returns the cached d0 delta variant for exit-body index i.
+// d0Var returns the d0 delta variant for exit-body index i.
 func (ic *incContext) d0Var(i int) d0Ops {
-	if v, ok := ic.dVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileD0(ic.ce.syms, i)
-	ic.dVars[i] = v
-	return v
+	return cachedVar(&ic.dVars, i, func() d0Ops { return ic.plan.compileD0(ic.ce.syms, i) })
 }
 
-// seedVar returns the cached seed delta variant for seed-atom index i.
+// seedVar returns the seed delta variant for seed-atom index i.
 func (ic *incContext) seedVar(i int) seedOps {
-	if v, ok := ic.sVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileSeed(ic.ce.syms, i)
-	ic.sVars[i] = v
-	return v
+	return cachedVar(&ic.sVars, i, func() seedOps { return ic.plan.compileSeed(ic.ce.syms, i) })
 }
 
 // Update extends the retained Fig. 9 fixpoint with the delta:
@@ -379,20 +370,22 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 
 // ---------------------------------------------------------------------------
 // Semi-naive-backed incremental states (reduced/full one-sided plans,
-// Magic Sets, and the plain semi-naive strategy).
+// the multi-rule reduction, Magic Sets, and the plain semi-naive
+// strategy).
 
 // incSemiNaive maintains a retained semi-naive fixpoint plus an answer
 // relation folded from one watched derived predicate.
 type incSemiNaive struct {
 	st    *snState
 	watch string
-	// apply folds one genuinely new watched tuple into the answers.
-	apply func(t storage.Tuple)
+	// apply folds one watched tuple into the answers, returning the
+	// answer tuple and whether it is new.
+	apply func(t storage.Tuple) (storage.Tuple, bool)
 	// applyDel removes one retracted watched tuple from the answers —
 	// the DRed settle phase's counterpart of apply.
 	applyDel func(t storage.Tuple)
 	ans      *storage.Relation
-	// seenSize recomputes the post-update SeenSize statistic.
+	// seenSize recomputes the SeenSize statistic.
 	seenSize func() int
 	stats    EvalStats
 }
@@ -418,199 +411,167 @@ func (s *incSemiNaive) Update(ctx context.Context, edb *storage.Database, delta 
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// One-sided strategy.
-
-// Incremental reports whether this plan shape supports delta
-// maintenance: context-mode plans whose factor groups are anchor-free
-// (pure nonemptiness guards), and the reduced/full modes (maintained
-// through the retained semi-naive fixpoint). Context plans with
-// anchored factor groups would need the g-join solutions retained per
-// context to cross new group tuples in; they re-evaluate instead.
-func (o *oneSidedPrepared) Incremental() bool {
-	switch o.plan.Mode {
-	case ModeContext:
-		for _, fg := range o.plan.factored {
-			if len(fg.anchors) > 0 {
-				return false
-			}
-		}
-		return true
-	case ModeReduced, ModeFull:
-		return true
+// open finishes an Open over the initial fixpoint: the watched
+// relation's tuples fold into the answers, each new answer streaming
+// through emit (nil when unused).
+func (s *incSemiNaive) open(ctx context.Context, emit func(storage.Tuple) bool) (Incremental, error) {
+	folded := foldAnswers(s.st.idb.Relation(s.watch), s.apply, emit)
+	s.stats.Iterations = s.st.rounds
+	s.stats.SeenSize = s.seenSize()
+	if !folded {
+		return stopped(ctx, s.ans, s.stats)
 	}
-	return false
+	return s, nil
 }
 
-// EvalIncremental evaluates the plan and retains its fixpoint state for
-// delta-driven updates.
-func (o *oneSidedPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	p := o.plan
+// foldAnswers applies every tuple of rel (nil when the predicate
+// derived nothing), streaming each new answer through emit; false when
+// emit stopped the fold.
+func foldAnswers(rel *storage.Relation, apply func(storage.Tuple) (storage.Tuple, bool), emit func(storage.Tuple) bool) bool {
+	if rel == nil {
+		return true
+	}
+	for _, t := range rel.Tuples() {
+		if out, fresh := apply(t); fresh && emit != nil && !emit(out) {
+			return false
+		}
+	}
+	return true
+}
+
+// Open evaluates the plan into its maintainable state: the Fig. 9 loop
+// in context mode, the reduced recursion's semi-naive fixpoint in
+// reduced mode, and the whole definition's in full mode. Context plans
+// with anchored factor groups would need the g-join solutions retained
+// per context to cross new group tuples in; they return a fixed state
+// instead.
+func (p *Plan) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
 	if p.NSlots > 0 {
 		return nil, errUnboundSkeleton(p.Query)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	switch p.Mode {
 	case ModeContext:
-		ce := p.newContextEval(edb, nil)
-		if _, _, err := ce.run(ctx); err != nil {
+		ce := p.newContextEval(edb, emit)
+		if err := ce.run(ctx); err != nil {
 			return nil, err
 		}
-		return &incContext{
-			plan: p, ce: ce,
-			fVars: make(map[int]fOps), gVars: make(map[int]gVarOps),
-			dVars: make(map[int]d0Ops), sVars: make(map[int]seedOps),
-		}, nil
+		ce.emit = nil
+		if ce.aborted.Load() {
+			return &fixedState{ans: ce.ans, stats: ce.stats}, nil
+		}
+		for _, fg := range p.factored {
+			if len(fg.anchors) > 0 {
+				return &fixedState{ans: ce.ans, stats: ce.stats}, nil
+			}
+		}
+		return &incContext{plan: p, ce: ce}, nil
 	case ModeReduced:
-		return p.evalReducedIncremental(ctx, edb)
+		r := Reduction{Program: p.reduced.Program(), Pred: p.reduced.Pred(), Query: p.Query, Keep: p.keepCols, Workers: p.effectiveWorkers()}
+		return r.Open(ctx, edb, emit)
 	case ModeFull:
-		return p.evalFullIncremental(ctx, edb)
+		inc, err := newSelectIncrementalFor(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb, p.effectiveWorkers())
+		if err != nil {
+			return nil, err
+		}
+		inc.seenSize = inc.ans.Len
+		inc.stats = EvalStats{CarryArity: p.CarryArity, Workers: p.effectiveWorkers(), Shards: edb.Shards()}
+		return inc.open(ctx, emit)
 	}
-	return nil, fmt.Errorf("eval: plan mode %v is not maintainable", p.Mode)
+	return nil, fmt.Errorf("eval: invalid plan mode")
 }
 
-// evalReducedIncremental is evalReduced with the semi-naive state
-// retained: new reduced tuples re-expand through the dropped constant
-// columns as they are derived.
-func (p *Plan) evalReducedIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	st, err := newSNState(p.reduced.Program(), edb, p.effectiveWorkers())
+// Reduction is a selection evaluated through the persistent-column
+// reduction (Section 4): the bound columns' constants substituted into
+// the rules and the columns dropped. Program holds the reduced rules
+// and Pred their reduced predicate; Keep maps each reduced column to
+// its original column, and Query, the bound query, supplies the
+// constants of the dropped ones. Workers bounds the semi-naive round
+// parallelism (0 means GOMAXPROCS). One-sided plans in reduced mode and
+// the multi-rule reduction both evaluate through it.
+type Reduction struct {
+	Program *ast.Program
+	Pred    string
+	Query   ast.Atom
+	Keep    []int
+	Workers int
+}
+
+// Open evaluates the reduced program semi-naively and re-expands each
+// reduced tuple through the dropped constant columns. The fixpoint is
+// retained, so the answers maintain under signed deltas (DRed for
+// retractions) as new reduced tuples appear or go.
+func (r Reduction) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
+	st, err := newSNFixpoint(ctx, r.Program, edb, r.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.initialFixpoint(ctx); err != nil {
-		return nil, err
-	}
-	ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
+	arity := r.Query.Arity()
+	ans := storage.NewShardedRelation(arity, &edb.Stats, edb.Shards())
+	// out is shared by both hooks: Update runs them sequentially.
+	out := make(storage.Tuple, arity)
+	for i, a := range r.Query.Args {
 		if a.IsConst() {
 			out[i] = edb.Syms.Intern(a.Name)
 		}
 	}
-	watch := p.reduced.Pred()
-	expand := func(t storage.Tuple) {
-		for ri, oi := range p.keepCols {
+	expand := func(t storage.Tuple) storage.Tuple {
+		for ri, oi := range r.Keep {
 			out[oi] = t[ri]
 		}
-		ans.Insert(out)
+		return out
 	}
-	// unexpand mirrors expand for retracted reduced tuples (the buffer is
-	// shared — Update's hooks run sequentially).
-	unexpand := func(t storage.Tuple) {
-		for ri, oi := range p.keepCols {
-			out[oi] = t[ri]
-		}
-		ans.Retract(out)
+	inc := &incSemiNaive{
+		st: st, watch: r.Pred, ans: ans,
+		apply: func(t storage.Tuple) (storage.Tuple, bool) {
+			o := expand(t)
+			return o, ans.Insert(o)
+		},
+		applyDel: func(t storage.Tuple) { ans.Retract(expand(t)) },
+		seenSize: func() int {
+			if rel := st.idb.Relation(r.Pred); rel != nil {
+				return rel.Len()
+			}
+			return 0
+		},
+		stats: EvalStats{CarryArity: len(r.Keep), Workers: r.Workers, Shards: edb.Shards()},
 	}
-	inc := &incSemiNaive{st: st, watch: watch, apply: expand, applyDel: unexpand, ans: ans}
-	redRel := st.idb.Relation(watch)
-	if redRel != nil {
-		for _, t := range redRel.Tuples() {
-			expand(t)
-		}
-	}
-	inc.seenSize = func() int {
-		if r := st.idb.Relation(watch); r != nil {
-			return r.Len()
-		}
-		return 0
-	}
-	inc.stats = EvalStats{
-		Iterations: st.rounds, CarryArity: p.CarryArity,
-		Workers: p.effectiveWorkers(), Shards: edb.Shards(),
-		SeenSize: inc.seenSize(),
-	}
-	return inc, nil
+	return inc.open(ctx, emit)
 }
 
-// evalFullIncremental maintains an unbound (ModeFull) plan: the whole
-// definition materializes semi-naively and the query selects from the
-// watched predicate.
-func (p *Plan) evalFullIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	inc, err := newSelectIncremental(ctx, p.Def.Program(), p.Query, edb, p.effectiveWorkers())
-	if err != nil {
-		return nil, err
-	}
-	inc.stats.CarryArity = p.CarryArity
-	inc.stats.Workers = p.effectiveWorkers()
-	inc.stats.Shards = edb.Shards()
-	inc.stats.SeenSize = inc.ans.Len()
-	return inc, nil
-}
-
-// newSelectIncremental builds the materialize-then-select incremental
-// state shared by the full one-sided mode, Magic Sets, and the
-// semi-naive strategy: a retained fixpoint over prog, with new tuples
-// of the query predicate folded into the answer set when they match
-// the query's constants.
-func newSelectIncremental(ctx context.Context, prog *ast.Program, query ast.Atom, edb *storage.Database, workers int) (*incSemiNaive, error) {
-	return newSelectIncrementalFor(ctx, prog, query.Pred, query, edb, workers)
-}
-
-// ---------------------------------------------------------------------------
-// Magic Sets strategy.
-
-// Incremental: the rewritten program is negation-free Datalog, so the
-// retained semi-naive fixpoint (magic and answer predicates included)
-// extends under inserts.
-func (m *magicPrepared) Incremental() bool { return true }
-
-func (m *magicPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	if m.mr.Query.HasSlots() {
-		return nil, errUnboundSkeleton(m.mr.Query)
-	}
-	return newSelectIncrementalFor(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
-}
-
-// newSelectIncrementalFor is the general materialize-then-select
-// incremental builder: the watched predicate may differ from the query
-// predicate (Magic Sets watches the answer predicate while selecting
-// with the original query atom).
+// newSelectIncrementalFor is the materialize-then-select fold shared by
+// one-sided plans in full mode, Magic Sets, and the semi-naive strategy:
+// a retained fixpoint over prog, with the tuples of the watched
+// predicate that match the query's constants folded into the answers.
+// The watched predicate may differ from the query's: Magic Sets watches
+// its answer predicate while selecting with the original query atom.
+// The caller opens the returned state.
 func newSelectIncrementalFor(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database, workers int) (*incSemiNaive, error) {
-	st, err := newSNState(prog, edb, workers)
+	st, err := newSNFixpoint(ctx, prog, edb, workers)
 	if err != nil {
-		return nil, err
-	}
-	if err := st.initialFixpoint(ctx); err != nil {
 		return nil, err
 	}
 	ans := storage.NewRelation(query.Arity(), &edb.Stats)
-	syms := edb.Syms
-	apply := func(t storage.Tuple) {
-		if matchesQuery(t, query, syms) {
-			ans.Insert(t)
-		}
-	}
-	applyDel := func(t storage.Tuple) {
-		if matchesQuery(t, query, syms) {
-			ans.Retract(t)
-		}
-	}
-	inc := &incSemiNaive{st: st, watch: watch, apply: apply, applyDel: applyDel, ans: ans}
-	if rel := st.idb.Relation(watch); rel != nil {
-		for _, t := range rel.Tuples() {
-			apply(t)
-		}
-	}
-	inc.seenSize = func() int { return st.idb.TupleCount() }
-	inc.stats = EvalStats{Iterations: st.rounds, SeenSize: inc.seenSize()}
-	return inc, nil
+	return &incSemiNaive{
+		st: st, watch: watch, ans: ans,
+		apply: selectInto(ans, query, edb.Syms),
+		applyDel: func(t storage.Tuple) {
+			if matchesQuery(t, query, edb.Syms) {
+				ans.Retract(t)
+			}
+		},
+		seenSize: st.idb.TupleCount,
+	}, nil
 }
 
-// ---------------------------------------------------------------------------
-// Bottom-up strategies.
-
-// Incremental: only the semi-naive variant maintains (naive has no
-// delta machinery to retain — it re-derives everything each round).
-func (b *bottomUpPrepared) Incremental() bool { return b.strategy.name == StrategySemiNaive }
-
-func (b *bottomUpPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	if b.query.HasSlots() {
-		return nil, errUnboundSkeleton(b.query)
+// selectInto returns the fold step that inserts a tuple matching the
+// query's constants into ans.
+func selectInto(ans *storage.Relation, query ast.Atom, syms *storage.SymbolTable) func(storage.Tuple) (storage.Tuple, bool) {
+	return func(t storage.Tuple) (storage.Tuple, bool) {
+		return t, matchesQuery(t, query, syms) && ans.Insert(t)
 	}
-	if !b.Incremental() {
-		return nil, fmt.Errorf("eval: %s strategy is not maintainable", b.strategy.name)
-	}
-	return newSelectIncremental(ctx, b.program, b.query, edb, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -655,15 +616,4 @@ func (e *incEDB) Update(ctx context.Context, edb *storage.Database, delta Delta)
 	}
 	e.stats.SeenSize = e.ans.Len()
 	return nil
-}
-
-// Incremental: a base-relation lookup is trivially maintainable.
-func (e *edbPrepared) Incremental() bool { return true }
-
-func (e *edbPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	rel, stats, err := e.Eval(ctx, edb)
-	if err != nil {
-		return nil, err
-	}
-	return &incEDB{query: e.query, syms: edb.Syms, ans: rel, stats: stats}, nil
 }

@@ -49,12 +49,12 @@ func prepareIncremental(t *testing.T, src, pred, query string, db *storage.Datab
 		t.Fatal(err)
 	}
 	prep := &oneSidedPrepared{plan: plan, verdict: "test", adornment: ast.AdornmentOf(q)}
-	if !prep.Incremental() {
-		t.Fatalf("plan for %s (mode %v) not incremental", query, plan.Mode)
-	}
-	inc, err := prep.EvalIncremental(context.Background(), db)
+	inc, err := prep.Open(context.Background(), db, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, fixed := inc.(*fixedState); fixed {
+		t.Fatalf("plan for %s (mode %v) not incremental", query, plan.Mode)
 	}
 	return inc, plan
 }
@@ -178,7 +178,7 @@ func TestIncrementalGuardFlip(t *testing.T) {
 	// A fresh incremental build over the flipped database is maintainable
 	// again — and new guard tuples are now no-ops.
 	prep := &oneSidedPrepared{plan: plan, verdict: "test"}
-	inc2, err := prep.EvalIncremental(ctx, db)
+	inc2, err := prep.Open(ctx, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestIncrementalMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	prep := &magicPrepared{mr: mr}
-	inc, err := prep.EvalIncremental(ctx, db)
+	inc, err := prep.Open(ctx, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestIncrementalEDB(t *testing.T) {
 	db.AddFact("e", "x", "y")
 	q := parser.MustParseAtom("e(a, Y)")
 	prep := &edbPrepared{query: q}
-	inc, err := prep.EvalIncremental(ctx, db)
+	inc, err := prep.Open(ctx, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

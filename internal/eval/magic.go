@@ -169,33 +169,15 @@ func MagicTransform(p *ast.Program, query ast.Atom) (*MagicResult, error) {
 }
 
 // MagicEval transforms and evaluates the query, returning the answer
-// relation: the tuples of the query predicate matching the query's
-// constants.
+// relation — the tuples of the query predicate matching the query's
+// constants — and the rewritten program's fixpoint. It is the Magic
+// Sets test oracle, folded like the magic strategy's plans.
 func MagicEval(p *ast.Program, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
-	return MagicEvalCtx(context.Background(), p, query, edb)
-}
-
-// MagicEvalCtx is MagicEval with cancellation.
-func MagicEvalCtx(ctx context.Context, p *ast.Program, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
 	mr, err := MagicTransform(p, query)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := SemiNaiveCtx(ctx, mr.Program, edb)
-	if err != nil {
-		return nil, nil, err
-	}
-	ans := storage.NewRelation(query.Arity(), &edb.Stats)
-	rel := res.IDB.Relation(mr.AnswerPred)
-	if rel == nil {
-		return ans, res, nil
-	}
-	for _, t := range rel.Tuples() {
-		if matchesQuery(t, query, edb.Syms) {
-			ans.Insert(t)
-		}
-	}
-	return ans, res, nil
+	return selectEval(mr.Program, mr.AnswerPred, query, edb)
 }
 
 // matchesQuery checks a tuple against the query's constants (repeated
@@ -222,34 +204,20 @@ func matchesQuery(t storage.Tuple, query ast.Atom, syms *storage.SymbolTable) bo
 }
 
 // SelectEval evaluates the query by full semi-naive materialization
-// followed by selection — the unoptimized baseline.
+// followed by selection — the unoptimized baseline every strategy is
+// checked against.
 func SelectEval(p *ast.Program, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
-	return SelectEvalCtx(context.Background(), p, query, edb)
+	return selectEval(p, query.Pred, query, edb)
 }
 
-// SelectEvalCtx is SelectEval with cancellation.
-func SelectEvalCtx(ctx context.Context, p *ast.Program, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
-	return SelectEvalWorkersCtx(ctx, p, query, edb, 0)
-}
-
-// SelectEvalWorkersCtx is SelectEvalCtx with the semi-naive round
-// parallelism bounded to workers (0 means GOMAXPROCS).
-func SelectEvalWorkersCtx(ctx context.Context, p *ast.Program, query ast.Atom, edb *storage.Database, workers int) (*storage.Relation, *Result, error) {
-	res, err := SemiNaiveWorkersCtx(ctx, p, edb, workers)
+// selectEval runs the materialize-then-select fold to completion.
+func selectEval(prog *ast.Program, watch string, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
+	inc, err := newSelectIncrementalFor(context.Background(), prog, watch, query, edb, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	ans := storage.NewRelation(query.Arity(), &edb.Stats)
-	rel := res.IDB.Relation(query.Pred)
-	if rel == nil {
-		return ans, res, nil
-	}
-	for _, t := range rel.Tuples() {
-		if matchesQuery(t, query, edb.Syms) {
-			ans.Insert(t)
-		}
-	}
-	return ans, res, nil
+	foldAnswers(inc.st.idb.Relation(watch), inc.apply, nil)
+	return inc.ans, inc.st.result(), nil
 }
 
 // AnswerStrings renders an answer relation deterministically for tests:

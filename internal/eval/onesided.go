@@ -423,114 +423,6 @@ func (p *Plan) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Eval runs the compiled plan over the EDB, returning the answer relation
-// (full tuples of the defined predicate matching the selection).
-func (p *Plan) Eval(edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	return p.EvalCtx(context.Background(), edb)
-}
-
-// EvalCtx is Eval with cancellation: the Fig. 9 while loop (and the
-// bottom-up fixpoints the other modes delegate to) checks ctx between
-// iterations and returns ctx.Err() when it fires.
-func (p *Plan) EvalCtx(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	return p.EvalStreamCtx(ctx, edb, nil)
-}
-
-// EvalStreamCtx is EvalCtx with an incremental answer sink: when emit is
-// non-nil it is called exactly once per distinct answer tuple, as soon as
-// the tuple is derived. In context mode the exit-rule (depth-0) answers
-// and each carry batch's g-join answers are emitted while the fixpoint is
-// still running, so consumers see first answers before the final
-// iteration; the other modes materialize first and emit afterwards. The
-// tuple passed to emit is only valid for the duration of the call (clone
-// it to retain); emit may be called from the evaluation goroutine only,
-// and returning false stops the evaluation early without error, with the
-// answers derived so far.
-func (p *Plan) EvalStreamCtx(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	if p.NSlots > 0 {
-		return nil, EvalStats{}, fmt.Errorf("eval: plan for %v is a skeleton with %d unbound slots; call Bind first", p.Query, p.NSlots)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
-	}
-	switch p.Mode {
-	case ModeFull:
-		ans, res, err := SelectEvalWorkersCtx(ctx, p.Def.Program(), p.Query, edb, p.effectiveWorkers())
-		st := EvalStats{CarryArity: p.CarryArity, Workers: p.effectiveWorkers(), Shards: edb.Shards()}
-		if res != nil {
-			st.Iterations = res.Rounds
-		}
-		if ans != nil {
-			st.SeenSize = ans.Len()
-		}
-		if err == nil && !emitAll(ans, emit) {
-			// The sink stopped mid-stream; surface a cancellation if the
-			// stop came from ctx rather than a deliberate consumer break.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, st, cerr
-			}
-		}
-		return ans, st, err
-	case ModeReduced:
-		return p.evalReduced(ctx, edb, emit)
-	case ModeContext:
-		return p.evalContext(ctx, edb, emit)
-	}
-	return nil, EvalStats{}, fmt.Errorf("eval: invalid plan mode")
-}
-
-// emitAll streams a materialized answer relation through emit, returning
-// false when emit stopped the stream early.
-func emitAll(ans *storage.Relation, emit func(storage.Tuple) bool) bool {
-	if emit == nil || ans == nil {
-		return true
-	}
-	for _, t := range ans.Tuples() {
-		if !emit(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// evalReduced evaluates the reduced recursion bottom-up and re-expands the
-// dropped constant columns. Answers stream through emit during the
-// re-expansion (after the bottom-up fixpoint, which produces the reduced
-// tuples in bulk).
-func (p *Plan) evalReduced(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	res, err := SemiNaiveWorkersCtx(ctx, p.reduced.Program(), edb, p.effectiveWorkers())
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	redRel := res.IDB.Relation(p.reduced.Pred())
-	ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
-	stats := EvalStats{Iterations: res.Rounds, CarryArity: p.CarryArity, Workers: p.effectiveWorkers(), Shards: edb.Shards()}
-	if redRel == nil {
-		return ans, stats, nil
-	}
-	stats.SeenSize = redRel.Len()
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = edb.Syms.Intern(a.Name)
-		}
-	}
-	for _, t := range redRel.Tuples() {
-		for ri, oi := range p.keepCols {
-			out[oi] = t[ri]
-		}
-		if ans.Insert(out) && emit != nil && !emit(out) {
-			// Distinguish a ctx-driven stop from a deliberate consumer
-			// break: only the former is an error.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, stats, cerr
-			}
-			break
-		}
-	}
-	return ans, stats, nil
-}
-
 // groupResult is a factored group's materialized anchor bindings.
 type groupResult struct {
 	anchors []string
@@ -1063,19 +955,6 @@ func (p *Plan) queryConsts(syms *storage.SymbolTable) storage.Tuple {
 	return out
 }
 
-// evalContext runs the Fig. 9 loop: seed the carry from the first
-// application of the recursive rule (restricted by the selection
-// constants), then per batch join the new contexts with the exit rule
-// (g, emitting answers incrementally) and apply the recursive rule one
-// level deeper (f) until no new contexts appear. Each batch is split
-// across a bounded worker pool; the sharded seen-set deduplicates
-// concurrently discovered contexts, and the depth-0 answers from the
-// exit rule alone are emitted before the loop starts.
-func (p *Plan) evalContext(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	ce := p.newContextEval(edb, emit)
-	return ce.run(ctx)
-}
-
 // newContextEval constructs the evaluation state for a bound
 // context-mode plan: the answer and seen relations plus the environment
 // the compiled operators run in. run executes the Fig. 9 loop; the state
@@ -1140,15 +1019,22 @@ func (b *bitsetSeen) Tuples() []storage.Tuple {
 	return out
 }
 
-// run executes the full Fig. 9 evaluation over the state.
-func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, error) {
+// run executes the Fig. 9 loop over the state: seed the carry from the
+// first application of the recursive rule (restricted by the selection
+// constants), then per batch join the new contexts with the exit rule
+// (g, emitting answers incrementally) and apply the recursive rule one
+// level deeper (f) until no new contexts appear. Each batch is split
+// across a bounded worker pool; the sharded seen-set deduplicates
+// concurrently discovered contexts, and the depth-0 answers from the
+// exit rule alone are emitted before the loop starts.
+func (ce *contextEval) run(ctx context.Context) error {
 	p, syms := ce.p, ce.syms
 
 	// An already-expired context must fail even when the evaluation would
 	// finish without entering the while loop (empty carry): the serving
 	// layer relies on deadline errors surfacing deterministically.
 	if err := ctx.Err(); err != nil {
-		return nil, ce.stats, err
+		return err
 	}
 
 	// Gas: the derived-tuple budget is charged at batch granularity — the
@@ -1175,7 +1061,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		return ce.finish(ctx)
 	}
 	if err := charge(); err != nil {
-		return nil, ce.stats, err
+		return err
 	}
 
 	// Factored groups: evaluate once with the selection constants; any
@@ -1217,11 +1103,11 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	ce.gBatch(carry)
 	for len(carry) > 0 && !ce.aborted.Load() {
 		if err := ctx.Err(); err != nil {
-			return nil, ce.stats, err
+			return err
 		}
 		if err := charge(); err != nil {
 			ce.stats.SeenSize = ce.seen.Len()
-			return nil, ce.stats, err
+			return err
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
@@ -1233,7 +1119,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	}
 	if err := charge(); err != nil {
 		ce.stats.SeenSize = ce.seen.Len()
-		return nil, ce.stats, err
+		return err
 	}
 	return ce.finish(ctx)
 }
@@ -1255,14 +1141,12 @@ func fillQueryConsts(srcs []colSrc, qc storage.Tuple) []colSrc {
 // emit sink is a clean early stop when the consumer asked for it, but a
 // cancellation when ctx fired — the two reach emitAnswer the same way,
 // so the distinction is recovered from ctx itself.
-func (ce *contextEval) finish(ctx context.Context) (*storage.Relation, EvalStats, error) {
+func (ce *contextEval) finish(ctx context.Context) error {
 	ce.stats.SeenSize = ce.seen.Len()
 	if ce.aborted.Load() {
-		if err := ctx.Err(); err != nil {
-			return nil, ce.stats, err
-		}
+		return ctx.Err()
 	}
-	return ce.ans, ce.stats, nil
+	return nil
 }
 
 // fBatch applies the recursive rule one level deeper to a carry batch,
@@ -1446,22 +1330,4 @@ func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) bool
 		}
 	}
 	return true
-}
-
-// OneSidedEval compiles and evaluates a selection in one call.
-func OneSidedEval(d *ast.Definition, query ast.Atom, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	plan, err := CompileSelection(d, query)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return plan.Eval(edb)
-}
-
-// OneSidedEvalCtx is OneSidedEval with cancellation.
-func OneSidedEvalCtx(ctx context.Context, d *ast.Definition, query ast.Atom, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	plan, err := CompileSelection(d, query)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return plan.EvalCtx(ctx, edb)
 }

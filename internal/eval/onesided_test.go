@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -18,6 +19,20 @@ func mustDef(t *testing.T, src, pred string) *ast.Definition {
 	return d
 }
 
+// openResult unpacks an Open into its one-shot result.
+func openResult(inc Incremental, err error) (*storage.Relation, EvalStats, error) {
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	return inc.Answers(), inc.Stats(), nil
+}
+
+// evalPlan opens a plan without streaming and returns its one-shot
+// result.
+func evalPlan(p *Plan, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+	return openResult(p.Open(context.Background(), edb, nil))
+}
+
 // checkAgainstFull compiles and evaluates the selection with the one-sided
 // plan and compares against full-materialize-then-select.
 func checkAgainstFull(t *testing.T, d *ast.Definition, query string, db *storage.Database) (*Plan, EvalStats) {
@@ -27,7 +42,7 @@ func checkAgainstFull(t *testing.T, d *ast.Definition, query string, db *storage
 	if err != nil {
 		t.Fatalf("compile %s: %v", query, err)
 	}
-	got, stats, err := plan.Eval(db)
+	got, stats, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatalf("eval %s: %v", query, err)
 	}
@@ -90,7 +105,7 @@ func TestOneSidedTCBothColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan2.Eval(db)
+	got, _, err := evalPlan(plan2, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +321,7 @@ func TestExpE12RandomDefinitions(t *testing.T) {
 					}
 					t.Fatalf("%s %v: %v", dd.src, q, err)
 				}
-				got, _, err := plan.Eval(db)
+				got, _, err := evalPlan(plan, db)
 				if err != nil {
 					t.Fatalf("%s %v: %v", dd.src, q, err)
 				}
@@ -335,7 +350,7 @@ func TestOneSidedPropertyThree(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Stats.Reset()
-	if _, _, err := plan.Eval(db); err != nil {
+	if _, _, err := evalPlan(plan, db); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats.FullScans != 0 {

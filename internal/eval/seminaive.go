@@ -209,15 +209,19 @@ func SemiNaive(p *ast.Program, edb *storage.Database) (*Result, error) {
 
 // SemiNaiveCtx is SemiNaive with cancellation: the fixpoint loop checks
 // ctx between rounds and returns ctx.Err() when it fires. Rounds
-// parallelize across GOMAXPROCS workers; use SemiNaiveWorkersCtx to
-// bound them.
+// parallelize across GOMAXPROCS workers.
 func SemiNaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error) {
-	return SemiNaiveWorkersCtx(ctx, p, edb, 0)
+	st, err := newSNFixpoint(ctx, p, edb, 0)
+	if err != nil {
+		return nil, err
+	}
+	return st.result(), nil
 }
 
-// SemiNaiveWorkersCtx is SemiNaiveCtx with the per-round parallelism
-// bounded to workers (0 means GOMAXPROCS, 1 forces sequential rounds).
-func SemiNaiveWorkersCtx(ctx context.Context, p *ast.Program, edb *storage.Database, workers int) (*Result, error) {
+// newSNFixpoint compiles p over edb and runs its initial semi-naive
+// fixpoint, with the per-round parallelism bounded to workers (0 means
+// GOMAXPROCS, 1 forces sequential rounds).
+func newSNFixpoint(ctx context.Context, p *ast.Program, edb *storage.Database, workers int) (*snState, error) {
 	st, err := newSNState(p, edb, workers)
 	if err != nil {
 		return nil, err
@@ -225,7 +229,7 @@ func SemiNaiveWorkersCtx(ctx context.Context, p *ast.Program, edb *storage.Datab
 	if err := st.initialFixpoint(ctx); err != nil {
 		return nil, err
 	}
-	return st.result(), nil
+	return st, nil
 }
 
 // snState is a retained semi-naive evaluation: the compiled program, the

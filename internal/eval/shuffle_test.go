@@ -23,7 +23,7 @@ func TestBoundShuffleSoundness(t *testing.T) {
 			t.Logf("seed %d: compile error (acceptable): %v", seed, err)
 			continue
 		}
-		got, _, err := plan.Eval(db)
+		got, _, err := evalPlan(plan, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestBoundShuffleUndetermined(t *testing.T) {
 	if err != nil {
 		return // rejection is the sound outcome
 	}
-	got, _, err := plan.Eval(db)
+	got, _, err := evalPlan(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}

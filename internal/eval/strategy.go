@@ -47,9 +47,27 @@ type Strategy interface {
 	Prepare(p *ast.Program, query AdornedQuery) (PreparedStrategy, error)
 }
 
-// PreparedStrategy is a query plan produced by a Strategy. Eval may be
-// called many times and concurrently against the same database; the plan
-// holds no per-evaluation state.
+// PreparedStrategy is a query plan produced by a Strategy. Open is its
+// one evaluation entry point: it evaluates the plan against edb and
+// returns the evaluation's state, whose Answers and Stats are the
+// one-shot result and whose Update maintains that result under base
+// deltas. Plans that cannot maintain (naive, counting, and context-mode
+// plans with anchored factor groups) return a fixed-answer state whose
+// Update reports ErrRebuild. Open may be called many times and
+// concurrently against the same database; the plan holds no
+// per-evaluation state, and each returned state is the caller's own.
+//
+// emit, when non-nil, streams the answers: it is called exactly once
+// per distinct answer tuple, never concurrently, as the state derives
+// it. Context-mode one-sided plans emit the depth-0
+// answers and each carry batch's g-join answers while the Fig. 9 loop
+// is still running, so consumers see first answers before the final
+// iteration; the other plans emit as they fold their fixpoint into the
+// answer set. The tuple is valid only for the duration of the call
+// (clone it to retain). Returning false stops the evaluation early: a
+// stop caused by a cancelled ctx returns ctx's error, and any other
+// stop returns a fixed state holding the answers derived so far. emit
+// is never called by Update.
 //
 // A plan prepared from a skeleton query is parameterized: its constant
 // positions hold ast.SlotConst placeholders and it must not be evaluated
@@ -60,7 +78,7 @@ type Strategy interface {
 // BindArgs() with no arguments returns it unchanged.
 type PreparedStrategy interface {
 	Explain() StrategyExplain
-	Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error)
+	Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error)
 	BindArgs(consts ...ast.Term) (PreparedStrategy, error)
 }
 
@@ -69,17 +87,6 @@ type PreparedStrategy interface {
 func errUnboundSkeleton(query ast.Atom) error {
 	return fmt.Errorf("eval: plan for %v is a skeleton with %d unbound slots; call BindArgs first",
 		query, query.SlotCount())
-}
-
-// StreamingPrepared is implemented by prepared plans that can emit
-// answers incrementally, before their fixpoint completes. EvalStream
-// behaves like Eval but additionally calls emit once per distinct answer
-// tuple as soon as it is derived; see Plan.EvalStreamCtx for the emit
-// contract. Prepared plans without this interface are evaluated fully
-// and their answers streamed afterwards.
-type StreamingPrepared interface {
-	PreparedStrategy
-	EvalStream(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error)
 }
 
 // StrategyExplain reports what a prepared plan will do: which strategy
@@ -203,14 +210,8 @@ func (o *oneSidedPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (o *oneSidedPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	return o.plan.EvalCtx(ctx, edb)
-}
-
-// EvalStream implements StreamingPrepared: context-mode plans emit
-// answers per carry batch while the Fig. 9 loop is still running.
-func (o *oneSidedPrepared) EvalStream(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	return o.plan.EvalStreamCtx(ctx, edb, emit)
+func (o *oneSidedPrepared) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
+	return o.plan.Open(ctx, edb, emit)
 }
 
 // ---------------------------------------------------------------------------
@@ -265,11 +266,17 @@ func (c *countingPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (c *countingPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+// Open evaluates with the Counting method, which retains no state to
+// maintain: the answers stream once materialized, and Update rebuilds.
+func (c *countingPrepared) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
 	if c.plan.NSlots > 0 {
-		return nil, EvalStats{}, errUnboundSkeleton(c.plan.Query)
+		return nil, errUnboundSkeleton(c.plan.Query)
 	}
-	return c.plan.EvalCountingCtx(ctx, edb, c.maxDepth)
+	ans, stats, err := c.plan.EvalCountingCtx(ctx, edb, c.maxDepth)
+	if err != nil {
+		return nil, err
+	}
+	return streamed(ctx, ans, emit, &fixedState{ans: ans, stats: stats})
 }
 
 // ---------------------------------------------------------------------------
@@ -304,42 +311,30 @@ func (m *magicPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (m *magicPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+// Open evaluates the rewritten program semi-naively and retains the
+// fixpoint, magic and answer predicates included: the rewriting is
+// negation-free Datalog, so the fixpoint maintains under signed deltas.
+func (m *magicPrepared) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
 	if m.mr.Query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(m.mr.Query)
+		return nil, errUnboundSkeleton(m.mr.Query)
 	}
-	res, err := SemiNaiveCtx(ctx, m.mr.Program, edb)
+	inc, err := newSelectIncrementalFor(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
 	if err != nil {
-		return nil, EvalStats{}, err
+		return nil, err
 	}
-	ans := storage.NewRelation(m.mr.Query.Arity(), &edb.Stats)
-	if rel := res.IDB.Relation(m.mr.AnswerPred); rel != nil {
-		for _, t := range rel.Tuples() {
-			if matchesQuery(t, m.mr.Query, edb.Syms) {
-				ans.Insert(t)
-			}
-		}
-	}
-	return ans, EvalStats{Iterations: res.Rounds, SeenSize: res.IDB.TupleCount()}, nil
+	return inc.open(ctx, emit)
 }
 
 // ---------------------------------------------------------------------------
 // Semi-naive and naive strategies: full materialization plus selection.
 
-type bottomUpStrategy struct {
-	name string
-	eval func(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error)
-}
+type bottomUpStrategy struct{ name string }
 
 // SemiNaiveStrategy returns materialize-with-semi-naive-then-select.
-func SemiNaiveStrategy() Strategy {
-	return bottomUpStrategy{name: StrategySemiNaive, eval: SemiNaiveCtx}
-}
+func SemiNaiveStrategy() Strategy { return bottomUpStrategy{name: StrategySemiNaive} }
 
 // NaiveStrategy returns materialize-with-naive-then-select.
-func NaiveStrategy() Strategy {
-	return bottomUpStrategy{name: StrategyNaive, eval: NaiveCtx}
-}
+func NaiveStrategy() Strategy { return bottomUpStrategy{name: StrategyNaive} }
 
 func (s bottomUpStrategy) Name() string { return s.name }
 
@@ -365,23 +360,29 @@ func (b *bottomUpPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (b *bottomUpPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+// Open materializes the program and selects the query's tuples. The
+// semi-naive variant retains its fixpoint for maintenance; the naive
+// variant re-derives everything each round, retains nothing, and
+// returns a fixed state.
+func (b *bottomUpPrepared) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
 	if b.query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(b.query)
+		return nil, errUnboundSkeleton(b.query)
 	}
-	res, err := b.strategy.eval(ctx, b.program, edb)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	ans := storage.NewRelation(b.query.Arity(), &edb.Stats)
-	if rel := res.IDB.Relation(b.query.Pred); rel != nil {
-		for _, t := range rel.Tuples() {
-			if matchesQuery(t, b.query, edb.Syms) {
-				ans.Insert(t)
-			}
+	if b.strategy.name == StrategyNaive {
+		res, err := NaiveCtx(ctx, b.program, edb)
+		if err != nil {
+			return nil, err
 		}
+		ans := storage.NewRelation(b.query.Arity(), &edb.Stats)
+		foldAnswers(res.IDB.Relation(b.query.Pred), selectInto(ans, b.query, edb.Syms), nil)
+		stats := EvalStats{Iterations: res.Rounds, SeenSize: res.IDB.TupleCount()}
+		return streamed(ctx, ans, emit, &fixedState{ans: ans, stats: stats})
 	}
-	return ans, EvalStats{Iterations: res.Rounds, SeenSize: res.IDB.TupleCount()}, nil
+	inc, err := newSelectIncrementalFor(ctx, b.program, b.query.Pred, b.query, edb, 0)
+	if err != nil {
+		return nil, err
+	}
+	return inc.open(ctx, emit)
 }
 
 // ---------------------------------------------------------------------------
@@ -412,20 +413,32 @@ func (e *edbPrepared) Explain() StrategyExplain {
 	return StrategyExplain{Strategy: StrategyEDB, Adornment: e.adornment.String(), Detail: "indexed base-relation lookup"}
 }
 
-func (e *edbPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+// Open answers with one indexed lookup; the state maintains the
+// selection from the query predicate's own delta.
+func (e *edbPrepared) Open(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (Incremental, error) {
+	ans, err := e.lookup(ctx, edb)
+	if err != nil {
+		return nil, err
+	}
+	inc := &incEDB{query: e.query, syms: edb.Syms, ans: ans, stats: EvalStats{SeenSize: ans.Len()}}
+	return streamed(ctx, ans, emit, inc)
+}
+
+// lookup selects the query's tuples from the base relation.
+func (e *edbPrepared) lookup(ctx context.Context, edb *storage.Database) (*storage.Relation, error) {
 	if e.query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(e.query)
+		return nil, errUnboundSkeleton(e.query)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
+		return nil, err
 	}
 	rel := edb.Relation(e.query.Pred)
 	ans := storage.NewRelation(e.query.Arity(), &edb.Stats)
 	if rel == nil {
-		return ans, EvalStats{}, nil
+		return ans, nil
 	}
 	if rel.Arity() != e.query.Arity() {
-		return nil, EvalStats{}, fmt.Errorf("eval: query %v has arity %d, relation has %d", e.query, e.query.Arity(), rel.Arity())
+		return nil, fmt.Errorf("eval: query %v has arity %d, relation has %d", e.query, e.query.Arity(), rel.Arity())
 	}
 	var bindings []storage.Binding
 	for i, a := range e.query.Args {
@@ -434,7 +447,7 @@ func (e *edbPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage
 				bindings = append(bindings, storage.Binding{Col: i, Val: v})
 			} else {
 				// Unknown constant: no tuple can match.
-				return ans, EvalStats{}, nil
+				return ans, nil
 			}
 		}
 	}
@@ -444,5 +457,5 @@ func (e *edbPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage
 		}
 		return true
 	})
-	return ans, EvalStats{SeenSize: ans.Len()}, nil
+	return ans, nil
 }

@@ -43,7 +43,11 @@ func TestSemiNaiveCtxCancellation(t *testing.T) {
 	if _, err := NaiveCtx(ctx, prog, db); !errors.Is(err, context.Canceled) {
 		t.Fatalf("naive err = %v, want context.Canceled", err)
 	}
-	if _, _, err := MagicEvalCtx(ctx, prog, mustParseAtom(t, "t(n0, Y)"), db); !errors.Is(err, context.Canceled) {
+	magic, err := Magic().Prepare(prog, AdornQuery(mustParseAtom(t, "t(n0, Y)")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := magic.Open(ctx, db, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("magic err = %v, want context.Canceled", err)
 	}
 }
@@ -74,7 +78,7 @@ func TestStrategyAdaptersAgree(t *testing.T) {
 		}
 		// A prepared plan is reusable: evaluate twice.
 		for i := 0; i < 2; i++ {
-			rel, _, err := ps.Eval(ctx, db)
+			rel, _, err := openResult(ps.Open(ctx, db, nil))
 			if err != nil {
 				t.Fatalf("%s eval %d: %v", s.Name(), i, err)
 			}
@@ -124,7 +128,7 @@ func TestOneSidedStrategyDeclinesDerivedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := ps.Eval(context.Background(), db)
+	rel, _, err := openResult(ps.Open(context.Background(), db, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

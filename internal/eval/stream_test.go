@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -36,10 +37,10 @@ func TestEvalStreamFirstAnswerBeforeFixpointEnds(t *testing.T) {
 	iters := 0
 	plan.TestIterHook = func(i int) { iters = i }
 	emitIters := []int{}
-	ans, stats, err := plan.EvalStreamCtx(context.Background(), db, func(tup storage.Tuple) bool {
+	ans, stats, err := openResult(plan.Open(context.Background(), db, func(tup storage.Tuple) bool {
 		emitIters = append(emitIters, iters)
 		return true
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,8 @@ func TestEvalStreamFirstAnswerBeforeFixpointEnds(t *testing.T) {
 }
 
 // TestEvalStreamEmitStop checks that emit returning false stops the
-// evaluation early without error.
+// evaluation early without error, and that the partial state it leaves
+// refuses maintenance.
 func TestEvalStreamEmitStop(t *testing.T) {
 	db := storage.NewDatabase()
 	first, _ := datagen.Chain(db, "a", "n", 100)
@@ -77,7 +79,7 @@ func TestEvalStreamEmitStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	_, _, err = plan.EvalStreamCtx(context.Background(), db, func(storage.Tuple) bool {
+	inc, err := plan.Open(context.Background(), db, func(storage.Tuple) bool {
 		got++
 		return got < 3
 	})
@@ -86,6 +88,9 @@ func TestEvalStreamEmitStop(t *testing.T) {
 	}
 	if got != 3 {
 		t.Fatalf("emit called %d times after stop at 3", got)
+	}
+	if err := inc.Update(context.Background(), db, Delta{}); !errors.Is(err, ErrRebuild) {
+		t.Fatalf("Update on a stopped state = %v, want ErrRebuild", err)
 	}
 }
 
@@ -131,11 +136,11 @@ func TestParallelContextMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			par.Workers = 8
-			sGot, sStats, err := seq.Eval(db)
+			sGot, sStats, err := evalPlan(seq, db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pGot, pStats, err := par.Eval(db)
+			pGot, pStats, err := evalPlan(par, db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,9 @@ type FollowerConfig struct {
 	// written here under the wal's own file names, so a restart
 	// recovers locally and Promote turns the mirror into the log.
 	Dir string
-	// Client is the HTTP client (default http.DefaultClient).
+	// Client is the HTTP client. When nil the follower builds its own
+	// on a clone of http.DefaultTransport and closes that client's idle
+	// keep-alive connections on Close.
 	Client *http.Client
 	// PollInterval is the long-poll wait per tail fetch (default 1s).
 	PollInterval time.Duration
@@ -55,7 +57,10 @@ type Follower struct {
 	cfg    FollowerConfig
 	eng    *onesided.Engine
 	client *http.Client
-	ap     *wal.Applier
+	// ownClient marks a client Start built itself; Close releases its
+	// idle connections.
+	ownClient bool
+	ap        *wal.Applier
 
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -97,8 +102,9 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Engine.Log() != nil {
 		return nil, fmt.Errorf("replica: follower engine must not have its own persistence")
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+	ownClient := cfg.Client == nil
+	if ownClient {
+		cfg.Client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
@@ -115,7 +121,7 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, eng: cfg.Engine, client: cfg.Client, state: StateBootstrapping}
+	f := &Follower{cfg: cfg, eng: cfg.Engine, client: cfg.Client, ownClient: ownClient, state: StateBootstrapping}
 	cb := f.replayCallbacks()
 	f.ap = wal.NewApplier(cb)
 	cfg.Engine.SetReadOnly(true)
@@ -813,13 +819,17 @@ func (f *Follower) Err() error {
 	return f.err
 }
 
-// Close stops the tail goroutine and waits for it. Idempotent; also
-// invoked by Engine.Close through the OnClose hook, so closing either
-// side never leaves an applier running.
+// Close stops the tail goroutine and waits for it, then closes the
+// idle connections of a client Start built. Idempotent; also invoked
+// by Engine.Close through the OnClose hook, so closing either side
+// never leaves an applier or a keep-alive connection running.
 func (f *Follower) Close() error {
 	f.closeOnce.Do(func() {
 		f.cancel()
 		<-f.done
+		if f.ownClient {
+			f.client.CloseIdleConnections()
+		}
 		f.mu.Lock()
 		if f.state != StateFailed && f.state != StatePromoted {
 			f.state = StateClosed

@@ -93,31 +93,82 @@ func TestFollowerRejectsWritesWithRedirect(t *testing.T) {
 	}
 }
 
+// TestAtEpochBarrierServesReadYourWrites: a follower read at the
+// primary's epoch after a write sees the whole write, whether it was
+// one fact or a batch — the primary's epoch advances once per accepted
+// fact, exactly as the follower's does when it applies the batch's
+// records one by one — and both epochs agree once the follower caught
+// up.
 func TestAtEpochBarrierServesReadYourWrites(t *testing.T) {
-	p := newReplPair(t)
-	if _, err := p.primary.Load("t(X, Y) :- edge(X, Y)."); err != nil {
-		t.Fatal(err)
+	edges := func(lo, hi int) []onesided.Fact {
+		var out []onesided.Fact
+		for i := lo; i < hi; i++ {
+			out = append(out, onesided.Fact{Pred: "edge", Args: []string{"a", "b" + strconv.Itoa(i)}})
+		}
+		return out
 	}
-	p.primary.AddFact("edge", "a", "b")
-	epoch := p.primary.DB().Epoch()
+	cases := []struct {
+		name  string
+		write func(t *testing.T, eng *onesided.Engine)
+		want  int
+	}{
+		{"AddFact", func(t *testing.T, eng *onesided.Engine) {
+			eng.AddFact("edge", "a", "b")
+		}, 1},
+		{"InsertFacts", func(t *testing.T, eng *onesided.Engine) {
+			if n, err := eng.InsertFacts(edges(0, 16)); err != nil || n != 16 {
+				t.Fatalf("InsertFacts = %d, %v; want 16", n, err)
+			}
+		}, 16},
+		{"RetractFacts", func(t *testing.T, eng *onesided.Engine) {
+			if n, err := eng.InsertFacts(edges(0, 16)); err != nil || n != 16 {
+				t.Fatalf("InsertFacts = %d, %v; want 16", n, err)
+			}
+			if n, err := eng.RetractFacts(edges(0, 8)); err != nil || n != 8 {
+				t.Fatalf("RetractFacts = %d, %v; want 8", n, err)
+			}
+		}, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newReplPair(t)
+			if _, err := p.primary.Load("t(X, Y) :- edge(X, Y)."); err != nil {
+				t.Fatal(err)
+			}
+			tc.write(t, p.primary)
+			epoch := p.primary.DB().Epoch()
 
-	// A follower read at the primary's epoch must include the fact, even
-	// if the request races the apply loop: the barrier waits.
-	w := doReq(t, p.fsrv, "POST", "/v1/query",
-		map[string]string{atEpochHeader: strconv.FormatUint(epoch, 10)},
-		queryRequest{Query: "t(a, Y)"})
-	if w.Code != http.StatusOK {
-		t.Fatalf("at-epoch query = %d (body %s)", w.Code, w.Body)
-	}
-	var resp queryResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Count != 1 {
-		t.Fatalf("answers = %d, want 1 (%+v)", resp.Count, resp)
-	}
-	if got := w.Header().Get(epochHeader); got == "" || got == "0" {
-		t.Fatalf("response %s = %q, want the applied epoch", epochHeader, got)
+			// A follower read at the primary's epoch must include the
+			// whole write, even if the request races the apply loop: the
+			// barrier waits.
+			w := doReq(t, p.fsrv, "POST", "/v1/query",
+				map[string]string{atEpochHeader: strconv.FormatUint(epoch, 10)},
+				queryRequest{Query: "t(a, Y)"})
+			if w.Code != http.StatusOK {
+				t.Fatalf("at-epoch query = %d (body %s)", w.Code, w.Body)
+			}
+			var resp queryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Count != tc.want {
+				t.Fatalf("answers at epoch %d = %d, want %d (%+v)", epoch, resp.Count, tc.want, resp)
+			}
+			if got := w.Header().Get(epochHeader); got == "" || got == "0" {
+				t.Fatalf("response %s = %q, want the applied epoch", epochHeader, got)
+			}
+
+			deadline := time.Now().Add(10 * time.Second)
+			for p.follower.DB().Epoch() < epoch {
+				if time.Now().After(deadline) {
+					t.Fatalf("follower never caught up: %+v", p.f.Stats())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if pe, fe := p.primary.DB().Epoch(), p.follower.DB().Epoch(); pe != fe {
+				t.Fatalf("primary epoch %d, follower epoch %d after catch-up", pe, fe)
+			}
+		})
 	}
 }
 

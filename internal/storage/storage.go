@@ -904,14 +904,16 @@ func (r *Relation) journalRun(j Journal, tuples []Tuple, accepted []bool, added 
 // protocol with the fixed costs amortized across the batch: tuples are
 // grouped per shard, each touched shard is locked once and all of its
 // delta-tail entries stamped with one epoch reading (taken under that
-// shard's lock, keeping tail epochs monotone), the database epoch
-// advances once for the whole batch, accepted tuples reach the journal
-// as one buffered run (one fsync under SyncAlways when the journal is a
-// BatchJournal), and watchers are notified once — so a subscription
-// sees the batch as one delta round. Returns the number of tuples that
-// were genuinely new; duplicates inside the batch collapse exactly as
-// repeated Inserts would. The tuples are copied into the column blocks
-// as usual.
+// shard's lock, keeping tail epochs monotone), accepted tuples reach
+// the journal as one buffered run (one fsync under SyncAlways when the
+// journal is a BatchJournal), and watchers are notified once — so a
+// subscription sees the batch as one delta round. The database epoch
+// advances by the accepted row count in one step: Epoch keeps counting
+// accepted mutations, exactly as after the equivalent run of Inserts,
+// so a follower that applies the journaled run fact by fact reaches
+// the same epoch. Returns the number of tuples that were genuinely
+// new; duplicates inside the batch collapse exactly as repeated
+// Inserts would. The tuples are copied into the column blocks as usual.
 func (r *Relation) InsertBatch(tuples []Tuple) int {
 	if len(tuples) == 0 {
 		return 0
@@ -973,7 +975,7 @@ func (r *Relation) InsertBatch(tuples []Tuple) int {
 		storeMax(&r.lastMod, maxStamp)
 		storeMax(&r.db.lastMod, maxStamp)
 		r.db.mutations.Add(int64(added))
-		r.db.epoch.Add(1)
+		r.db.epoch.Add(uint64(added))
 	}
 	if r.stats != nil {
 		atomic.AddInt64(&r.stats.Inserts, int64(added))
@@ -989,9 +991,10 @@ func (r *Relation) InsertBatch(tuples []Tuple) int {
 
 // RetractBatch retracts a run of tuples under Retract's exact per-tuple
 // protocol with the fixed costs amortized like InsertBatch: one lock
-// acquisition and one epoch stamp per touched shard, one epoch advance,
-// one journal run, one watcher notification. Returns the number of
-// tuples that were present (and are now tombstoned).
+// acquisition and one epoch stamp per touched shard, one epoch advance
+// by the removed row count, one journal run, one watcher notification.
+// Returns the number of tuples that were present (and are now
+// tombstoned).
 func (r *Relation) RetractBatch(tuples []Tuple) int {
 	if len(tuples) == 0 {
 		return 0
@@ -1048,7 +1051,7 @@ func (r *Relation) RetractBatch(tuples []Tuple) int {
 		storeMax(&r.lastMod, maxStamp)
 		storeMax(&r.db.lastMod, maxStamp)
 		r.db.mutations.Add(int64(removed))
-		r.db.epoch.Add(1)
+		r.db.epoch.Add(uint64(removed))
 	}
 	if r.stats != nil {
 		atomic.AddInt64(&r.stats.Retracts, int64(removed))

@@ -87,8 +87,8 @@ type (
 	EvalStats = eval.EvalStats
 	// EvalResult is the outcome of bottom-up evaluation.
 	EvalResult = eval.Result
-	// ErrUnsupported marks selections outside the compiled class; callers
-	// fall back to MagicEval.
+	// ErrUnsupported marks selections outside the compiled class; the
+	// Engine falls back to the next strategy (Magic Sets by default).
 	ErrUnsupported = eval.ErrUnsupported
 )
 
@@ -147,40 +147,14 @@ func CompileSelection(d *Definition, query Atom) (*Plan, error) {
 	return eval.CompileSelection(d, query)
 }
 
-// Eval compiles and evaluates a selection in one call.
-//
-// Deprecated: use Engine.Query (or Engine.Prepare), which runs the full
-// decision procedure, caches the plan, and supports cancellation.
-func Eval(d *Definition, query Atom, db *Database) (*Relation, EvalStats, error) {
-	return eval.OneSidedEval(d, query, db)
-}
-
-// SemiNaive evaluates a program bottom-up (the general baseline).
-//
-// Deprecated: use an Engine with WithStrategies("seminaive") for query
-// answering; SemiNaive remains for whole-program materialization.
+// SemiNaive materializes a whole program bottom-up with the semi-naive
+// strategy: an oracle to check query answers against. Query answering
+// goes through an Engine.
 func SemiNaive(p *Program, db *Database) (*EvalResult, error) { return eval.SemiNaive(p, db) }
 
-// Naive evaluates a program with the naive strategy.
-//
-// Deprecated: use an Engine with WithStrategies("naive").
+// Naive materializes a whole program with the naive strategy, the
+// slowest and simplest oracle.
 func Naive(p *Program, db *Database) (*EvalResult, error) { return eval.Naive(p, db) }
-
-// MagicEval evaluates a query with the Magic Sets transformation (the
-// general-purpose comparison point).
-//
-// Deprecated: use an Engine with WithStrategies("magic"), which reuses
-// the rewriting across evaluations via Prepare.
-func MagicEval(p *Program, query Atom, db *Database) (*Relation, *EvalResult, error) {
-	return eval.MagicEval(p, query, db)
-}
-
-// SelectEval evaluates a query by full materialization plus selection.
-//
-// Deprecated: use an Engine with WithStrategies("seminaive").
-func SelectEval(p *Program, query Atom, db *Database) (*Relation, *EvalResult, error) {
-	return eval.SelectEval(p, query, db)
-}
 
 // Answers renders an answer relation as sorted comma-separated rows.
 func Answers(rel *Relation, db *Database) []string { return eval.AnswerStrings(rel, db.Syms) }
@@ -245,14 +219,4 @@ func ExtractMulti(p *Program, pred string) (*MultiDefinition, error) {
 // graph).
 func ClassifyMulti(d *MultiDefinition) (*MultiClassification, error) {
 	return multi.Classify(d)
-}
-
-// EvalMultiSelection evaluates a selection on a multi-rule recursion,
-// reducing persistent columns rule-by-rule or falling back to Magic Sets;
-// the returned string names the path taken.
-//
-// Deprecated: use Engine.Query; the default strategy chain includes the
-// multi-rule reduction ("multi") with the same fallback behavior.
-func EvalMultiSelection(d *MultiDefinition, query Atom, db *Database) (*Relation, string, error) {
-	return multi.EvalSelection(d, query, db)
 }

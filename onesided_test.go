@@ -1,6 +1,7 @@
 package onesided
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,6 +10,25 @@ const tcSrc = `
 	t(X, Y) :- a(X, Z), t(Z, Y).
 	t(X, Y) :- b(X, Y).
 `
+
+// queryWith answers query on an engine over db whose strategy chain is
+// just strategy, and checks the engine used it.
+func queryWith(t *testing.T, strategy string, p *Program, db *Database, query string) *Relation {
+	t.Helper()
+	eng, err := Open(WithDatabase(db), WithProgram(p), WithStrategies(strategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rows, err := eng.Query(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Explain().Strategy; got != strategy {
+		t.Fatalf("query %s ran strategy %s, want %s", query, got, strategy)
+	}
+	return rows.Relation()
+}
 
 // TestPublicAPIEndToEnd exercises the documented workflow: parse,
 // classify, build a database, compile, evaluate.
@@ -41,10 +61,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if plan.CarryArity != 1 {
 		t.Fatalf("carry arity = %d", plan.CarryArity)
 	}
-	answers, stats, err := plan.Eval(db)
+	st, err := plan.Open(context.Background(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	answers, stats := st.Answers(), st.Stats()
 	got := Answers(answers, db)
 	if len(got) != 1 || got[0] != "paris,nice" {
 		t.Fatalf("answers = %v", got)
@@ -121,10 +142,7 @@ func TestPublicAPIParseSource(t *testing.T) {
 	if len(rules.Rules) != 2 || len(queries) != 1 {
 		t.Fatalf("rules=%d queries=%d", len(rules.Rules), len(queries))
 	}
-	ans, _, err := MagicEval(rules, queries[0], db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := queryWith(t, "magic", rules, db, queries[0].String())
 	if got := Answers(ans, db); len(got) != 1 || got[0] != "u,v" {
 		t.Fatalf("answers = %v", got)
 	}
@@ -139,20 +157,9 @@ func TestPublicAPIEngineAgreement(t *testing.T) {
 	db.AddFact("a", "x", "y")
 	db.AddFact("a", "y", "x")
 	db.AddFact("b", "y", "z")
-	q, _ := ParseQuery("t(x, Y)")
-
-	planAns, _, err := Eval(def, q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	magicAns, _, err := MagicEval(def.Program(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAns, _, err := SelectEval(def.Program(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planAns := queryWith(t, "onesided", def.Program(), db, "t(x, Y)")
+	magicAns := queryWith(t, "magic", def.Program(), db, "t(x, Y)")
+	fullAns := queryWith(t, "seminaive", def.Program(), db, "t(x, Y)")
 	if !planAns.Equal(magicAns) || !planAns.Equal(fullAns) {
 		t.Fatalf("engines disagree: plan=%v magic=%v full=%v",
 			Answers(planAns, db), Answers(magicAns, db), Answers(fullAns, db))
