@@ -52,10 +52,10 @@ type Engine struct {
 	// (AttachPersistence) while queries and stats readers are active.
 	log atomic.Pointer[wal.Log]
 
-	// readOnly, when set, makes quota-gated write entry points
-	// (InsertFact) fail with ErrReadOnly. Replication appliers bypass it
-	// by writing through AddFact/the database directly; serving layers
-	// map it to a redirect at the primary.
+	// readOnly, when set, makes the write entry points fail with
+	// ErrReadOnly. Replication appliers bypass it by writing through the
+	// database directly; serving layers map it to a redirect at the
+	// primary.
 	readOnly atomic.Bool
 
 	// closersMu guards closers: hooks registered by OnClose that Close
@@ -93,7 +93,7 @@ type Engine struct {
 	autoErr   atomic.Pointer[error]
 
 	// quota is the engine's default resource bounds (see WithQuota):
-	// MaxFacts gates InsertFact, MaxDerived is the default per-query gas
+	// MaxFacts gates InsertFacts, MaxDerived is the default per-query gas
 	// budget withGasCtx attaches.
 	quota Quota
 
@@ -212,35 +212,6 @@ func (e *Engine) openPersistence(cfg engineConfig) (shapes []string, bootstrap b
 // DB returns the engine's database for direct fact loading and
 // inspection.
 func (e *Engine) DB() *Database { return e.db }
-
-// AddFact interns the constants and inserts the tuple into the named
-// relation, reporting whether the tuple was genuinely new (false on a
-// duplicate). The insert stamps the database epoch, so cached query
-// results notice the change; with auto-checkpointing configured it may
-// trigger a checkpoint. AddFact routes through the same admission and
-// journal path as InsertFact — the fact quota cannot be bypassed by
-// picking the error-free entry point; the only difference is that a
-// rejected insert (quota, read-only follower) reports false instead of
-// an error.
-func (e *Engine) AddFact(pred string, consts ...string) bool {
-	added, _ := e.InsertFact(pred, consts...)
-	return added
-}
-
-// Retract removes the tuple from the named relation, reporting whether
-// it was present. A retraction journals like an insert (its own WAL
-// record kind), stamps the database epoch — so cached results observe
-// it as a signed delta and maintained plans run their delete-rederive
-// pass — and counts toward auto-checkpointing. A read-only engine
-// (replication follower) rejects with ErrReadOnly.
-func (e *Engine) Retract(pred string, consts ...string) (bool, error) {
-	if e.readOnly.Load() {
-		return false, ErrReadOnly
-	}
-	removed := e.db.RemoveFact(pred, consts...)
-	e.maybeAutoCheckpoint()
-	return removed, nil
-}
 
 // Load parses a source text in Prolog syntax, inserts its ground facts
 // into the database, appends its rules to the engine's program, and
@@ -1174,8 +1145,8 @@ func (e *Engine) OnClose(fn func() error) {
 // promoted).
 func (e *Engine) Log() *wal.Log { return e.log.Load() }
 
-// SetReadOnly switches the engine's write gate: while set, InsertFact
-// fails with ErrReadOnly. Followers run read-only so every mutation
+// SetReadOnly switches the engine's write gate: while set, every write
+// entry point fails with ErrReadOnly. Followers run read-only so every mutation
 // arrives through the replication stream; promotion clears it.
 func (e *Engine) SetReadOnly(ro bool) { e.readOnly.Store(ro) }
 

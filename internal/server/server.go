@@ -205,13 +205,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 
 func (s *Server) release() { <-s.sem }
 
-// statusFor maps an evaluation error to its HTTP status: gas and fact
-// quota aborts are 429 (the tenant asked for too much), deadlines are
-// 504 (the evaluation ran out of time), a client disconnect is the
+// statusFor maps an evaluation or write error to its HTTP status: a
+// write the log failed to make durable is 503, gas and fact quota
+// aborts are 429 (the tenant asked for too much), deadlines are 504
+// (the evaluation ran out of time), a client disconnect is the
 // conventional 499, and everything else — parse errors, unplannable
-// queries — is a 400.
+// queries, arity mismatches — is a 400.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, onesided.ErrNotDurable):
+		// The write is applied but the log failed to make it durable:
+		// this node cannot honor its durability contract.
+		return http.StatusServiceUnavailable
 	case errors.Is(err, onesided.ErrGasExhausted),
 		errors.Is(err, onesided.ErrFactLimitExceeded),
 		errors.Is(err, onesided.ErrSubscriptionLimit):

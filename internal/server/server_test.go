@@ -272,3 +272,49 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("engine stats missing: %+v", resp)
 	}
 }
+
+// TestFactsArityMismatch400 pins that a fact of the wrong arity from a
+// client is a 400, not a handler panic, and leaves the server serving.
+func TestFactsArityMismatch400(t *testing.T) {
+	srv := newTestServer(t, 3, Config{})
+	before := srv.cfg.Engine.DB().TupleCount()
+	w := do(t, srv, "POST", "/v1/facts", "", factsRequest{Facts: []fact{
+		{Pred: "a", Args: []string{"x", "y"}},
+		{Pred: "a", Args: []string{"x"}},
+	}})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "relation a has arity 2") {
+		t.Fatalf("mismatched arity: status = %d, body %s", w.Code, w.Body)
+	}
+	if got := srv.cfg.Engine.DB().TupleCount(); got != before {
+		t.Fatalf("TupleCount %d after rejected batch, want %d", got, before)
+	}
+	w = do(t, srv, "POST", "/v1/facts", "", factsRequest{Facts: []fact{{Pred: "a", Args: []string{"x", "y"}}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("valid ingest after a rejected one: status = %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestFactsNotDurable503 pins that /v1/facts never acks a write the
+// log failed to journal: with the log closed under it, ingest is a 503.
+func TestFactsNotDurable503(t *testing.T) {
+	eng, err := onesided.Open(onesided.WithPersistence(t.TempDir()), onesided.WithSyncPolicy(onesided.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := factsRequest{Facts: []fact{{Pred: "a", Args: []string{"x", "y"}}}}
+	if w := do(t, srv, "POST", "/v1/facts", "", body); w.Code != http.StatusOK {
+		t.Fatalf("ingest on a healthy log: status = %d, body %s", w.Code, w.Body)
+	}
+	if err := eng.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	body.Facts[0].Args = []string{"y", "z"}
+	if w := do(t, srv, "POST", "/v1/facts", "", body); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("ingest after log close: status = %d, body %s", w.Code, w.Body)
+	}
+}

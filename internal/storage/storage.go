@@ -11,39 +11,25 @@ import (
 	"repro/internal/quote"
 )
 
-// Journal receives every accepted mutation of a journaled database, in
-// happens-before order: a symbol's JournalSym call completes before any
-// JournalFact referencing its Value (Intern invokes the hook under the
-// symbol table's lock), and JournalFact is called exactly once per
-// accepted insert (duplicates are filtered by the relation's set
-// semantics before the hook fires). The tuple passed to JournalFact is
-// only valid for the duration of the call — implementations must encode
-// or copy it before returning, and must be safe for concurrent use; the
-// write-ahead log in internal/wal is the canonical one.
+// Journal receives every accepted mutation of a journaled database as
+// signed runs, in happens-before order: a symbol's JournalSym call
+// completes before any run referencing its Value (interning invokes the
+// hook under the symbol table's lock). Each accepted mutation appears in
+// exactly one run, exactly once — duplicate inserts and absent retracts
+// are filtered by the relation's set semantics before the hook fires —
+// and a run holds one predicate's tuples in acceptance order. A
+// single-tuple write is a run of length one. The run and its tuples are
+// only valid for the duration of the call: implementations must encode
+// or copy them before returning, and must be safe for concurrent use.
+// The write-ahead log in internal/wal is the canonical one; it frames a
+// run as one buffered append covered by one policy sync.
 type Journal interface {
 	// JournalSym records that name was interned as the next dense Value.
 	JournalSym(name string)
-	// JournalFact records an accepted insert of t into the named relation.
-	JournalFact(pred string, t Tuple)
-	// JournalRetract records an accepted retraction of t from the named
-	// relation (called exactly once per tuple that was actually present).
-	JournalRetract(pred string, t Tuple)
-}
-
-// BatchJournal is implemented by journals that can absorb a run of
-// same-predicate records as one buffered append covered by a single
-// policy sync (the write-ahead log fsyncs once per run instead of once
-// per record). InsertBatch and RetractBatch call it when available and
-// fall back to the per-tuple hooks otherwise. The Journal contracts
-// apply to the run as a whole: exactly one record per accepted
-// mutation, symbol records ordered before any tuple referencing them,
-// and the tuples valid only for the duration of the call.
-type BatchJournal interface {
-	Journal
-	// JournalFactBatch records a run of accepted inserts into pred.
-	JournalFactBatch(pred string, tuples []Tuple)
-	// JournalRetractBatch records a run of accepted retractions from pred.
-	JournalRetractBatch(pred string, tuples []Tuple)
+	// JournalFacts records a run of accepted inserts into pred.
+	JournalFacts(pred string, run []Tuple)
+	// JournalRetracts records a run of accepted retractions from pred.
+	JournalRetracts(pred string, run []Tuple)
 }
 
 // Value is an interned constant symbol.
@@ -92,32 +78,19 @@ func NewSymbolTable() *SymbolTable {
 	return &SymbolTable{ids: make(map[string]Value)}
 }
 
-// Intern returns the Value for name, assigning a fresh one on first use.
+// Intern returns the Value for name, assigning a fresh one on first use:
+// InternBatch over a one-name run.
 func (st *SymbolTable) Intern(name string) Value {
-	st.mu.RLock()
-	v, ok := st.ids[name]
-	st.mu.RUnlock()
-	if ok {
-		return v
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if v, ok := st.ids[name]; ok {
-		return v
-	}
-	v = Value(len(st.names))
-	st.names = append(st.names, name)
-	st.ids[name] = v
-	if st.onIntern != nil {
-		st.onIntern(name)
-	}
-	return v
+	var v [1]Value
+	st.InternBatch([]string{name}, v[:])
+	return v[0]
 }
 
 // InternBatch interns every name into dst (which must have the same
 // length as names), taking the read lock once for the whole run and
-// escalating to the write lock only when some name is fresh — the
-// batched write path's amortization of Intern's per-call locking.
+// escalating to the write lock only when some name is fresh. Fresh
+// names are assigned Values, and reported to the intern hook, in run
+// order.
 func (st *SymbolTable) InternBatch(names []string, dst []Value) {
 	st.mu.RLock()
 	hit := true
@@ -601,7 +574,7 @@ type Relation struct {
 	count atomic.Int64
 	// name is the predicate this relation serves inside a Database ("" for
 	// free-standing relations such as answer sets); journal, when non-nil,
-	// receives every accepted insert. The pointer indirection lets a
+	// receives every accepted mutation run. The pointer indirection lets a
 	// journal attach while readers are in flight (Database.SetJournal).
 	name    string
 	journal atomic.Pointer[Journal]
@@ -696,57 +669,15 @@ func (r *Relation) Len() int { return int(r.count.Load()) }
 func (r *Relation) Retracts() int64 { return r.retracts.Load() }
 
 // Insert adds a tuple (copied into the shard's column blocks), returning
-// true when it was not already present. Only the tuple's shard is
-// locked, so inserts from parallel workers serialize only on hash
-// collisions; the steady-state path allocates nothing (block and table
-// growth amortize). On a tracked relation (one created by a Database)
-// the accepted insert is stamped with the database's current epoch,
-// appended to the shard's delta tail, and the epoch counter is
-// advanced — the bookkeeping DeltaSince and the engine's result cache
-// run on.
-func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("storage: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
-	}
-	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.Lock()
-	row, fresh := sh.insertLocked(t, h, r.arity)
-	if !fresh {
-		sh.mu.Unlock()
-		return false
-	}
-	for c, idx := range sh.cols {
-		if idx != nil {
-			idx[t[c]] = append(idx[t[c]], int32(row))
-		}
-	}
-	var stamp uint64
-	if r.db != nil {
-		// The stamp is read inside the critical section so tail epochs are
-		// monotone per shard.
-		stamp = r.db.epoch.Load()
-		sh.tailAppendLocked(tailEntry{row: row, epoch: stamp})
-	}
-	sh.mu.Unlock()
-	r.count.Add(1)
-	if r.db != nil {
-		storeMax(&r.lastMod, stamp)
-		storeMax(&r.db.lastMod, stamp)
-		r.db.mutations.Add(1)
-		r.db.epoch.Add(1)
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Inserts, 1)
-	}
-	if jp := r.journal.Load(); jp != nil {
-		(*jp).JournalFact(r.name, t)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return true
-}
+// true when it was not already present: InsertBatch over a one-tuple
+// run. Only the tuple's shard is locked, so inserts from parallel
+// workers serialize only on hash collisions; the steady-state path
+// allocates nothing (block and table growth amortize). On a tracked
+// relation (one created by a Database) the accepted insert is stamped
+// with the database's current epoch, appended to the shard's delta
+// tail, and the epoch counter is advanced — the bookkeeping DeltaSince
+// and the engine's result cache run on.
+func (r *Relation) Insert(t Tuple) bool { return r.InsertBatch([]Tuple{t}) == 1 }
 
 // Offer is Insert tuned for duplicate-heavy concurrent callers — the
 // evaluator's answer and seen sets, where most offered tuples are
@@ -771,54 +702,17 @@ func (r *Relation) Offer(t Tuple) bool {
 	return r.Insert(t)
 }
 
-// Retract removes a tuple, returning true when it was present. The row
-// is tombstoned in place — blocks never move, so lock-free views stay
-// sound — its dedup slot is freed (a later Insert of the same tuple
-// appends a fresh row), and posting lists filter the dead row lazily
-// until the shard's compaction threshold drops them for a rebuild. On a
-// tracked relation the accepted retraction is stamped with the
-// database's current epoch, appended to the shard's delta tail as a
-// signed (negative) entry, and advances the epoch counter, exactly like
-// an insert: Database.Epoch stays monotone, and DeltaSince reports the
-// tuple on the Removed side.
-func (r *Relation) Retract(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("storage: retracting arity-%d tuple from arity-%d relation", len(t), r.arity))
-	}
-	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.Lock()
-	row := sh.retractLocked(t, h)
-	if row < 0 {
-		sh.mu.Unlock()
-		return false
-	}
-	var stamp uint64
-	if r.db != nil {
-		stamp = r.db.epoch.Load()
-		sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: true})
-	}
-	sh.mu.Unlock()
-	r.count.Add(-1)
-	r.tombs.Add(1)
-	r.retracts.Add(1)
-	if r.db != nil {
-		storeMax(&r.lastMod, stamp)
-		storeMax(&r.db.lastMod, stamp)
-		r.db.mutations.Add(1)
-		r.db.epoch.Add(1)
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Retracts, 1)
-	}
-	if jp := r.journal.Load(); jp != nil {
-		(*jp).JournalRetract(r.name, t)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return true
-}
+// Retract removes a tuple, returning true when it was present:
+// RetractBatch over a one-tuple run. The row is tombstoned in place —
+// blocks never move, so lock-free views stay sound — its dedup slot is
+// freed (a later Insert of the same tuple appends a fresh row), and
+// posting lists filter the dead row lazily until the shard's compaction
+// threshold drops them for a rebuild. On a tracked relation the
+// accepted retraction is stamped with the database's current epoch,
+// appended to the shard's delta tail as a signed (negative) entry, and
+// advances the epoch counter, exactly like an insert: Database.Epoch
+// stays monotone, and DeltaSince reports the tuple on the Removed side.
+func (r *Relation) Retract(t Tuple) bool { return r.RetractBatch([]Tuple{t}) == 1 }
 
 // tailAppendLocked records one mutation in the shard's delta tail. Past
 // the bound the oldest half is evicted and the floor rises past the
@@ -872,197 +766,167 @@ func (r *Relation) batchOrder(tuples []Tuple) (order []int32, starts []int32, ha
 	return order, starts, hashes
 }
 
-// journalRun reports a batch's accepted tuples to the journal: as one
-// buffered run when the journal is a BatchJournal (one policy sync for
-// the whole run), per tuple otherwise. accepted marks which input
-// tuples to report, in input order.
-func (r *Relation) journalRun(j Journal, tuples []Tuple, accepted []bool, added int, retract bool) {
-	run := make([]Tuple, 0, added)
-	for i, ok := range accepted {
-		if ok {
-			run = append(run, tuples[i])
-		}
-	}
-	if bj, ok := j.(BatchJournal); ok {
-		if retract {
-			bj.JournalRetractBatch(r.name, run)
-		} else {
-			bj.JournalFactBatch(r.name, run)
-		}
-		return
-	}
-	for _, t := range run {
-		if retract {
-			j.JournalRetract(r.name, t)
-		} else {
-			j.JournalFact(r.name, t)
-		}
-	}
-}
+// InsertBatch inserts a run of tuples — the one insert path, Insert
+// being a one-tuple run. Tuples are grouped per shard, each touched
+// shard is locked once and all of its delta-tail entries stamped with
+// one epoch reading (taken under that shard's lock, keeping tail epochs
+// monotone), accepted tuples reach the journal as one run (one fsync
+// under SyncAlways for the write-ahead log), and watchers are notified
+// once — so a subscription sees the batch as one delta round. The
+// database epoch advances by the accepted row count in one step: Epoch
+// keeps counting accepted mutations, exactly as after the equivalent
+// run of Inserts, so a follower that applies the journaled run fact by
+// fact reaches the same epoch. Returns the number of tuples that were
+// genuinely new; duplicates inside the batch collapse exactly as
+// repeated Inserts would. The tuples are copied into the column blocks.
+func (r *Relation) InsertBatch(tuples []Tuple) int { return r.apply(tuples, false) }
 
-// InsertBatch inserts a run of tuples under Insert's exact per-tuple
-// protocol with the fixed costs amortized across the batch: tuples are
-// grouped per shard, each touched shard is locked once and all of its
-// delta-tail entries stamped with one epoch reading (taken under that
-// shard's lock, keeping tail epochs monotone), accepted tuples reach
-// the journal as one buffered run (one fsync under SyncAlways when the
-// journal is a BatchJournal), and watchers are notified once — so a
-// subscription sees the batch as one delta round. The database epoch
-// advances by the accepted row count in one step: Epoch keeps counting
-// accepted mutations, exactly as after the equivalent run of Inserts,
-// so a follower that applies the journaled run fact by fact reaches
-// the same epoch. Returns the number of tuples that were genuinely
-// new; duplicates inside the batch collapse exactly as repeated
-// Inserts would. The tuples are copied into the column blocks as usual.
-func (r *Relation) InsertBatch(tuples []Tuple) int {
-	if len(tuples) == 0 {
-		return 0
-	}
-	if len(tuples) == 1 {
-		if r.Insert(tuples[0]) {
-			return 1
-		}
-		return 0
-	}
+// RetractBatch retracts a run of tuples — the one retract path, Retract
+// being a one-tuple run — with the costs shared like InsertBatch: one
+// lock acquisition and one epoch stamp per touched shard, one epoch
+// advance by the removed row count, one journal run, one watcher
+// notification. Returns the number of tuples that were present (and are
+// now tombstoned).
+func (r *Relation) RetractBatch(tuples []Tuple) int { return r.apply(tuples, true) }
+
+// apply runs a signed run (del marks retraction) through the shards and
+// then, once for the whole run, the counters, the modification
+// watermarks, the epoch advance, the journal and the watchers. It
+// returns the accepted count.
+func (r *Relation) apply(tuples []Tuple, del bool) int {
 	for _, t := range tuples {
-		if len(t) != r.arity {
-			panic(fmt.Sprintf("storage: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
-		}
-	}
-	order, starts, hashes := r.batchOrder(tuples)
-	accepted := make([]bool, len(tuples))
-	added := 0
-	var maxStamp uint64
-	for s := 0; s+1 < len(starts); s++ {
-		idxs := order[starts[s]:starts[s+1]]
-		if len(idxs) == 0 {
+		if len(t) == r.arity {
 			continue
 		}
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		sh.reserveLocked(len(idxs))
-		var stamp uint64
-		if r.db != nil {
-			stamp = r.db.epoch.Load()
-		}
-		for _, i := range idxs {
-			t := tuples[i]
-			row, fresh := sh.insertLocked(t, hashes[i], r.arity)
-			if !fresh {
-				continue
-			}
-			for c, idx := range sh.cols {
-				if idx != nil {
-					idx[t[c]] = append(idx[t[c]], int32(row))
-				}
-			}
-			if r.db != nil {
-				sh.tailAppendLocked(tailEntry{row: row, epoch: stamp})
-			}
-			accepted[i] = true
-			added++
-		}
-		sh.mu.Unlock()
-		if stamp > maxStamp {
-			maxStamp = stamp
-		}
-	}
-	if added == 0 {
-		return 0
-	}
-	r.count.Add(int64(added))
-	if r.db != nil {
-		storeMax(&r.lastMod, maxStamp)
-		storeMax(&r.db.lastMod, maxStamp)
-		r.db.mutations.Add(int64(added))
-		r.db.epoch.Add(uint64(added))
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Inserts, int64(added))
-	}
-	if jp := r.journal.Load(); jp != nil {
-		r.journalRun(*jp, tuples, accepted, added, false)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return added
-}
-
-// RetractBatch retracts a run of tuples under Retract's exact per-tuple
-// protocol with the fixed costs amortized like InsertBatch: one lock
-// acquisition and one epoch stamp per touched shard, one epoch advance
-// by the removed row count, one journal run, one watcher notification.
-// Returns the number of tuples that were present (and are now
-// tombstoned).
-func (r *Relation) RetractBatch(tuples []Tuple) int {
-	if len(tuples) == 0 {
-		return 0
-	}
-	if len(tuples) == 1 {
-		if r.Retract(tuples[0]) {
-			return 1
-		}
-		return 0
-	}
-	for _, t := range tuples {
-		if len(t) != r.arity {
+		if del {
 			panic(fmt.Sprintf("storage: retracting arity-%d tuple from arity-%d relation", len(t), r.arity))
 		}
+		panic(fmt.Sprintf("storage: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
-	order, starts, hashes := r.batchOrder(tuples)
-	accepted := make([]bool, len(tuples))
-	removed := 0
-	var maxStamp uint64
-	for s := 0; s+1 < len(starts); s++ {
-		idxs := order[starts[s]:starts[s+1]]
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := &r.shards[s]
+	var (
+		accepted []bool
+		one      [1]bool
+		n        int
+		maxStamp uint64
+	)
+	switch len(tuples) {
+	case 0:
+		return 0
+	case 1:
+		// A one-tuple run goes straight to its shard, skipping
+		// batchOrder: the single-tuple write allocates nothing.
+		t := tuples[0]
+		h := HashTuple(t)
+		sh := r.shardFor(t)
 		sh.mu.Lock()
-		var stamp uint64
-		if r.db != nil {
-			stamp = r.db.epoch.Load()
-		}
-		for _, i := range idxs {
-			row := sh.retractLocked(tuples[i], hashes[i])
-			if row < 0 {
-				continue
-			}
-			if r.db != nil {
-				sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: true})
-			}
-			accepted[i] = true
-			removed++
+		maxStamp = r.stampLocked()
+		if r.applyLocked(sh, t, h, maxStamp, del) {
+			n, one[0] = 1, true
 		}
 		sh.mu.Unlock()
-		if stamp > maxStamp {
-			maxStamp = stamp
+		accepted = one[:]
+	default:
+		// Each touched shard is locked once, and its accepted rows are
+		// stamped with one epoch reading taken under that lock, keeping
+		// the shard's tail epochs monotone.
+		order, starts, hashes := r.batchOrder(tuples)
+		accepted = make([]bool, len(tuples))
+		for s := 0; s+1 < len(starts); s++ {
+			idxs := order[starts[s]:starts[s+1]]
+			if len(idxs) == 0 {
+				continue
+			}
+			sh := &r.shards[s]
+			sh.mu.Lock()
+			if !del {
+				sh.reserveLocked(len(idxs))
+			}
+			stamp := r.stampLocked()
+			for _, i := range idxs {
+				if r.applyLocked(sh, tuples[i], hashes[i], stamp, del) {
+					accepted[i] = true
+					n++
+				}
+			}
+			sh.mu.Unlock()
+			maxStamp = max(maxStamp, stamp)
 		}
 	}
-	if removed == 0 {
+	if n == 0 {
 		return 0
 	}
-	r.count.Add(int64(-removed))
-	r.tombs.Add(int64(removed))
-	r.retracts.Add(int64(removed))
+	if del {
+		r.count.Add(-int64(n))
+		r.tombs.Add(int64(n))
+		r.retracts.Add(int64(n))
+	} else {
+		r.count.Add(int64(n))
+	}
 	if r.db != nil {
 		storeMax(&r.lastMod, maxStamp)
 		storeMax(&r.db.lastMod, maxStamp)
-		r.db.mutations.Add(int64(removed))
-		r.db.epoch.Add(uint64(removed))
+		r.db.mutations.Add(int64(n))
+		r.db.epoch.Add(uint64(n))
 	}
 	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Retracts, int64(removed))
+		if del {
+			atomic.AddInt64(&r.stats.Retracts, int64(n))
+		} else {
+			atomic.AddInt64(&r.stats.Inserts, int64(n))
+		}
 	}
 	if jp := r.journal.Load(); jp != nil {
-		r.journalRun(*jp, tuples, accepted, removed, true)
+		run := make([]Tuple, 0, n)
+		for i, ok := range accepted {
+			if ok {
+				run = append(run, tuples[i])
+			}
+		}
+		if del {
+			(*jp).JournalRetracts(r.name, run)
+		} else {
+			(*jp).JournalFacts(r.name, run)
+		}
 	}
 	if r.db != nil {
 		r.db.notifyWatchers()
 	}
-	return removed
+	return n
+}
+
+// stampLocked reads the epoch stamp for rows accepted under a shard
+// lock the caller holds (0 on an untracked relation).
+func (r *Relation) stampLocked() uint64 {
+	if r.db == nil {
+		return 0
+	}
+	return r.db.epoch.Load()
+}
+
+// applyLocked applies one tuple t (hash h) to sh, whose write lock the
+// caller holds, stamping the row with stamp when accepted. It reports
+// whether t was accepted: fresh for an insert, present for a retract.
+func (r *Relation) applyLocked(sh *shard, t Tuple, h uint32, stamp uint64, del bool) bool {
+	var row int
+	if del {
+		if row = sh.retractLocked(t, h); row < 0 {
+			return false
+		}
+	} else {
+		var fresh bool
+		if row, fresh = sh.insertLocked(t, h, r.arity); !fresh {
+			return false
+		}
+		for c, idx := range sh.cols {
+			if idx != nil {
+				idx[t[c]] = append(idx[t[c]], int32(row))
+			}
+		}
+	}
+	if r.db != nil {
+		sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: del})
+	}
+	return true
 }
 
 // storeMax raises a to at least v.
@@ -1566,8 +1430,8 @@ func (db *Database) Shards() int {
 }
 
 // SetJournal attaches a journal (or detaches, with nil) to the database:
-// every fresh symbol intern and every accepted insert into a relation of
-// this database is reported to it from now on. State already present is
+// every fresh symbol intern and every accepted insert or retraction in a
+// relation of this database is reported to it from now on. State already present is
 // not replayed — callers that need it durable write a snapshot (see
 // internal/wal). Derived databases sharing this database's symbol table
 // are not journaled: answer and magic relations live outside the
@@ -1612,33 +1476,40 @@ func (db *Database) Relation(pred string) *Relation {
 }
 
 // Ensure returns the named relation, creating it with the given arity when
-// missing.
+// missing. It panics when the relation exists with another arity;
+// EnsureArity reports that as an error instead.
 func (db *Database) Ensure(pred string, arity int) *Relation {
+	r, err := db.EnsureArity(pred, arity)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// EnsureArity is Ensure for callers handling untrusted input: an
+// existing relation of another arity is an error naming the predicate
+// and both arities.
+func (db *Database) EnsureArity(pred string, arity int) (*Relation, error) {
 	db.mu.RLock()
 	r, ok := db.rels[pred]
 	db.mu.RUnlock()
-	if ok {
-		if r.arity != arity {
-			panic(fmt.Sprintf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity))
+	if !ok {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if r, ok = db.rels[pred]; !ok {
+			r = NewShardedRelation(arity, &db.Stats, db.shards)
+			r.name = pred
+			if db.track {
+				r.db = db
+			}
+			r.setJournal(db.journal)
+			db.rels[pred] = r
 		}
-		return r
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if r, ok := db.rels[pred]; ok {
-		if r.arity != arity {
-			panic(fmt.Sprintf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity))
-		}
-		return r
+	if r.arity != arity {
+		return nil, fmt.Errorf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity)
 	}
-	r = NewShardedRelation(arity, &db.Stats, db.shards)
-	r.name = pred
-	if db.track {
-		r.db = db
-	}
-	r.setJournal(db.journal)
-	db.rels[pred] = r
-	return r
+	return r, nil
 }
 
 // Preds returns the sorted relation names.
@@ -1657,9 +1528,7 @@ func (db *Database) Preds() []string {
 // reporting whether the tuple was genuinely new (false on a duplicate).
 func (db *Database) AddFact(pred string, consts ...string) bool {
 	t := make(Tuple, len(consts))
-	for i, c := range consts {
-		t[i] = db.Syms.Intern(c)
-	}
+	db.Syms.InternBatch(consts, t)
 	return db.Ensure(pred, len(consts)).Insert(t)
 }
 

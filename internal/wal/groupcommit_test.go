@@ -279,10 +279,10 @@ func TestCommitWindowGroupsConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestBatchJournalRoundTrip verifies the batched journal records replay
+// TestJournalRunRoundTrip verifies the journaled runs replay
 // to the same state as the batch produced: inserts then retracts through
 // the batch path, close, recover, byte-identical dump.
-func TestBatchJournalRoundTrip(t *testing.T) {
+func TestJournalRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, l, _, _ := openJournaled(t, dir, SyncBatch)
 	e := db.Ensure("e", 2)

@@ -42,52 +42,42 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }
 
-// encodeRecord frames a payload: length, CRC, payload.
-func encodeRecord(dst, payload []byte) []byte {
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	return append(append(dst, hdr[:]...), payload...)
+// sealRecord fills in the header reserved at the front of rec — the
+// length and CRC of the payload that follows it — and returns rec.
+// Records are framed in place this way: reserve recordHeaderSize bytes,
+// append the payload, seal.
+func sealRecord(rec []byte) []byte {
+	payload := rec[recordHeaderSize:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
+	return rec
 }
 
-// symPayload builds a recSym payload.
-func symPayload(name string) []byte {
-	b := make([]byte, 0, 1+len(name))
-	return append(append(b, recSym), name...)
+// textRecord frames a record whose body is raw text after the kind byte
+// (recSym's name, recRule's source).
+func textRecord(kind byte, text string) []byte {
+	rec := make([]byte, recordHeaderSize, recordHeaderSize+1+len(text))
+	return sealRecord(append(append(rec, kind), text...))
 }
 
-// rulePayload builds a recRule payload.
-func rulePayload(src string) []byte {
-	b := make([]byte, 0, 1+len(src))
-	return append(append(b, recRule), src...)
+// tupleRecordMax bounds the framed size of a kind + pred + tuple record
+// of the given arity, for presizing run buffers.
+func tupleRecordMax(pred string, arity int) int {
+	return recordHeaderSize + 1 + binary.MaxVarintLen32*(2+arity) + len(pred)
 }
 
-// factPayload builds a recFact payload.
-func factPayload(pred string, t storage.Tuple) []byte {
-	return tuplePayload(recFact, pred, t)
-}
-
-// retractPayload builds a recRetract payload (recFact's layout under the
-// retract kind byte).
-func retractPayload(pred string, t storage.Tuple) []byte {
-	return tuplePayload(recRetract, pred, t)
-}
-
-// tuplePayload builds a kind-byte + pred + tuple payload.
-func tuplePayload(kind byte, pred string, t storage.Tuple) []byte {
-	b := make([]byte, 0, 1+len(pred)+2+4*len(t))
-	return appendTuplePayload(b, kind, pred, t)
-}
-
-// appendTuplePayload appends a kind-byte + pred + tuple payload to dst,
-// so batch runs can reuse one scratch buffer across records.
-func appendTuplePayload(dst []byte, kind byte, pred string, t storage.Tuple) []byte {
+// appendTupleRecord frames a kind-byte + pred + tuple record in place at
+// the end of dst.
+func appendTupleRecord(dst []byte, kind byte, pred string, t storage.Tuple) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recordHeaderSize)...)
 	dst = append(dst, kind)
 	dst = appendString(dst, pred)
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
 		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
 	}
+	sealRecord(dst[start:])
 	return dst
 }
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/storage"
@@ -83,11 +84,12 @@ type Replay struct {
 }
 
 // Log is a write-ahead segment log bound to one directory. It implements
-// storage.Journal: attach it with Database.SetJournal and every accepted
-// insert and fresh symbol intern is appended as a record. Append errors
-// are sticky — the first one is remembered and surfaced by Sync,
-// Checkpoint, and Close — because the journal hooks have no error
-// channel of their own.
+// storage.Journal: attach it with Database.SetJournal and every fresh
+// symbol intern and accepted mutation run is appended as records. Append
+// errors are sticky — the first one is remembered and surfaced by Err,
+// Sync, Checkpoint, and Close — because the journal hooks have no error
+// channel of their own; the engine reads Err after every write so it
+// never acks one the log failed to journal.
 type Log struct {
 	dir    string
 	policy SyncPolicy
@@ -95,9 +97,10 @@ type Log struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	seq     uint64 // active segment sequence
-	pending int    // bytes buffered since the last fsync
-	err     error  // sticky first failure
+	seq     uint64      // active segment sequence
+	pending int         // bytes buffered since the last fsync
+	err     error       // sticky first failure
+	failed  atomic.Bool // err != nil, readable without mu
 	closed  bool
 
 	// Write-path counters, guarded by mu (CommitStats reads them).
@@ -700,23 +703,34 @@ func (l *Log) openSegment() error {
 	return nil
 }
 
-// append frames and writes one payload under the sync policy.
-func (l *Log) append(payload []byte) {
-	rec := encodeRecord(nil, payload)
+// write appends a framed run of records records under the sync policy:
+// under SyncAlways one group commit covers the whole run.
+func (l *Log) write(rec []byte, records int) {
 	if l.policy == SyncAlways {
-		l.groupCommit(rec, 1)
+		l.groupCommit(rec, records)
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.writeLocked(rec, 1) {
+	if !l.writeLocked(rec, records) {
 		return
 	}
 	if l.policy == SyncBatch && l.pending >= batchBytes {
-		l.err = l.syncLocked()
+		l.setErr(l.syncLocked())
 	}
 	// SyncOS: bufio flushes to the page cache on its own as the buffer
-	// fills; nothing to do per record.
+	// fills; nothing to do per run.
+}
+
+// setErr records err as the sticky failure (nil leaves the log
+// healthy); failed mirrors it for Err's lock-free healthy path. Caller
+// holds l.mu.
+func (l *Log) setErr(err error) error {
+	l.err = err
+	if err != nil {
+		l.failed.Store(true)
+	}
+	return err
 }
 
 // writeLocked buffers one framed run of records records. It reports
@@ -726,11 +740,11 @@ func (l *Log) writeLocked(rec []byte, records int) bool {
 		return false
 	}
 	if l.closed {
-		l.err = ErrClosed
+		l.setErr(ErrClosed)
 		return false
 	}
 	if _, err := l.w.Write(rec); err != nil {
-		l.err = err
+		l.setErr(err)
 		return false
 	}
 	l.pending += len(rec)
@@ -799,7 +813,7 @@ func (l *Log) groupCommit(rec []byte, records int) {
 
 	l.mu.Lock()
 	if l.writeLocked(g.buf, g.count) {
-		if l.err = l.syncLocked(); l.err == nil {
+		if l.setErr(l.syncLocked()) == nil {
 			l.statGroups++
 			l.statGroupRecs += uint64(g.count)
 			l.statLastGroup = g.count
@@ -881,65 +895,56 @@ func (l *Log) syncLocked() error {
 // write order, symbol included. A crash before that loses the symbol
 // only alongside every unacknowledged fact that mentions it.
 func (l *Log) JournalSym(name string) {
+	rec := textRecord(recSym, name)
 	if l.policy == SyncAlways {
-		rec := encodeRecord(nil, symPayload(name))
 		l.mu.Lock()
 		l.writeLocked(rec, 1)
 		l.mu.Unlock()
 		return
 	}
-	l.append(symPayload(name))
+	l.write(rec, 1)
 }
 
-// JournalFact implements storage.Journal.
-func (l *Log) JournalFact(pred string, t storage.Tuple) { l.append(factPayload(pred, t)) }
-
-// JournalRetract implements storage.Journal.
-func (l *Log) JournalRetract(pred string, t storage.Tuple) { l.append(retractPayload(pred, t)) }
-
-// JournalFactBatch implements storage.BatchJournal: the batch's records
-// are framed into one buffer, written under one lock acquisition, and
-// covered by one policy sync — under SyncAlways, one group commit (one
-// fsync) for the whole run instead of one per fact.
-func (l *Log) JournalFactBatch(pred string, tuples []storage.Tuple) {
-	l.appendRun(recFact, pred, tuples)
+// JournalFacts implements storage.Journal: the run's records are framed
+// into one buffer, written under one lock acquisition, and covered by
+// one policy sync — under SyncAlways, one group commit (one fsync) for
+// the whole run.
+func (l *Log) JournalFacts(pred string, run []storage.Tuple) {
+	l.appendRun(recFact, pred, run)
 }
 
-// JournalRetractBatch implements storage.BatchJournal; see
-// JournalFactBatch.
-func (l *Log) JournalRetractBatch(pred string, tuples []storage.Tuple) {
-	l.appendRun(recRetract, pred, tuples)
+// JournalRetracts implements storage.Journal; see JournalFacts.
+func (l *Log) JournalRetracts(pred string, run []storage.Tuple) {
+	l.appendRun(recRetract, pred, run)
 }
 
-// appendRun frames tuples under kind into one buffered run.
-func (l *Log) appendRun(kind byte, pred string, tuples []storage.Tuple) {
-	if len(tuples) == 0 {
+// appendRun frames each tuple of run as a kind record, in place, in one
+// presized buffer and writes the buffer as one run.
+func (l *Log) appendRun(kind byte, pred string, run []storage.Tuple) {
+	if len(run) == 0 {
 		return
 	}
-	var buf, scratch []byte
-	for _, t := range tuples {
-		scratch = appendTuplePayload(scratch[:0], kind, pred, t)
-		buf = encodeRecord(buf, scratch)
+	size := 0
+	for _, t := range run {
+		size += tupleRecordMax(pred, len(t))
 	}
-	if l.policy == SyncAlways {
-		l.groupCommit(buf, len(tuples))
-		return
+	buf := make([]byte, 0, size)
+	for _, t := range run {
+		buf = appendTupleRecord(buf, kind, pred, t)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.writeLocked(buf, len(tuples)) {
-		return
-	}
-	if l.policy == SyncBatch && l.pending >= batchBytes {
-		l.err = l.syncLocked()
-	}
+	l.write(buf, len(run))
 }
 
 // AppendRule journals a rule in concrete syntax (parser.RenderRule).
-func (l *Log) AppendRule(src string) { l.append(rulePayload(src)) }
+func (l *Log) AppendRule(src string) { l.write(textRecord(recRule, src), 1) }
 
-// Err returns the sticky append error, if any.
+// Err returns the sticky append error, if any. A healthy log answers
+// without taking the append lock, so a writer checking its own
+// durability never queues behind another group's fsync.
 func (l *Log) Err() error {
+	if !l.failed.Load() {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
@@ -955,8 +960,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.err = l.syncLocked()
-	return l.err
+	return l.setErr(l.syncLocked())
 }
 
 // flushActive pushes buffered records of the active segment to the OS
@@ -972,7 +976,7 @@ func (l *Log) flushActive() error {
 		return ErrClosed
 	}
 	if err := l.w.Flush(); err != nil {
-		l.err = err
+		l.setErr(err)
 		return err
 	}
 	return nil
@@ -1005,19 +1009,19 @@ func (l *Log) Checkpoint(collect func() (*Snapshot, error)) error {
 		return ErrClosed
 	}
 	if err := l.syncLocked(); err != nil {
-		l.err = err
+		l.setErr(err)
 		l.mu.Unlock()
 		return err
 	}
 	if err := l.f.Close(); err != nil {
-		l.err = err
+		l.setErr(err)
 		l.mu.Unlock()
 		return err
 	}
 	covered := l.seq
 	l.seq++
 	if err := l.openSegment(); err != nil {
-		l.err = err
+		l.setErr(err)
 		l.mu.Unlock()
 		return err
 	}
@@ -1119,10 +1123,10 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	if l.err == nil {
-		l.err = l.syncLocked()
+		l.setErr(l.syncLocked())
 	}
 	if cerr := l.f.Close(); cerr != nil && l.err == nil {
-		l.err = cerr
+		l.setErr(cerr)
 	}
 	if l.err != nil {
 		return l.err

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -196,4 +199,32 @@ func activeSegmentPath(t testing.TB, dir string) string {
 		t.Fatal("no segment files")
 	}
 	return best
+}
+
+// TestRecordLayout pins the framed bytes of each record kind against
+// the format spelled out by hand — length, CRC-32C of the payload, then
+// kind byte and body — so in-place framing cannot drift from it.
+func TestRecordLayout(t *testing.T) {
+	frame := func(payload ...byte) []byte {
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
+		return append(rec, payload...)
+	}
+	cases := []struct {
+		name string
+		got  []byte
+		want []byte
+	}{
+		{"sym", textRecord(recSym, "ab"), frame(recSym, 'a', 'b')},
+		{"rule", textRecord(recRule, "p."), frame(recRule, 'p', '.')},
+		{"fact", appendTupleRecord(nil, recFact, "e", storage.Tuple{3, 300}),
+			frame(recFact, 1, 'e', 2, 3, 0xac, 0x02)},
+		{"retract", appendTupleRecord([]byte{0xff}, recRetract, "e", storage.Tuple{0}),
+			append([]byte{0xff}, frame(recRetract, 1, 'e', 1, 0)...)},
+	}
+	for _, c := range cases {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s record = % x, want % x", c.name, c.got, c.want)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package onesided
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/eval"
@@ -15,9 +14,9 @@ import (
 // because the engine never invents deadlines — it only honors the
 // context it is given. Zero fields mean unlimited.
 type Quota struct {
-	// MaxFacts caps the database's total stored tuples: InsertFact (and
-	// the server's /v1/facts ingest) rejects inserts once TupleCount
-	// reaches it.
+	// MaxFacts caps the database's total stored tuples: InsertFacts —
+	// and so InsertFact, AddFact and the server's /v1/facts ingest —
+	// rejects inserts once TupleCount reaches it.
 	MaxFacts int64
 	// MaxDerived is the per-query derived-fact "gas" budget: every
 	// fixpoint evaluation under this engine charges the tuples it derives
@@ -41,18 +40,18 @@ type Quota struct {
 // abort (HTTP 429 territory) from a deadline (504).
 var ErrGasExhausted = eval.ErrGasExhausted
 
-// ErrFactLimitExceeded is returned by InsertFact when the database
+// ErrFactLimitExceeded is returned by InsertFacts when the database
 // already holds the quota's MaxFacts tuples.
 var ErrFactLimitExceeded = errors.New("onesided: fact limit exceeded")
 
-// ErrReadOnly is returned by InsertFact on a read-only engine — a
+// ErrReadOnly is returned by every write on a read-only engine — a
 // replication follower, whose only legitimate mutation source is the
 // primary's log stream. Serving layers map it to a redirect pointing
 // writers at the primary.
 var ErrReadOnly = errors.New("onesided: engine is read-only (follower)")
 
 // WithQuota sets the engine's default resource quota: MaxFacts gates
-// InsertFact, and MaxDerived attaches a fresh gas meter to every query
+// InsertFacts, and MaxDerived attaches a fresh gas meter to every query
 // whose context does not already carry one. Serving layers with
 // per-tenant budgets attach their own meters via WithGas, which win.
 func WithQuota(q Quota) Option {
@@ -79,25 +78,6 @@ func GasRemaining(ctx context.Context) int64 {
 // Quota returns the engine's default quota (zero value when none was
 // configured).
 func (e *Engine) Quota() Quota { return e.quota }
-
-// InsertFact inserts a fact with admission control: it rejects the
-// insert with ErrFactLimitExceeded once the database holds the quota's
-// MaxFacts tuples (and with ErrReadOnly on a follower), and otherwise
-// reports whether the tuple was genuinely new. The check is admission
-// control, not an invariant — concurrent inserters may overshoot the
-// limit by at most their own in-flight tuples. AddFact is the same path
-// with rejections flattened to false.
-func (e *Engine) InsertFact(pred string, consts ...string) (bool, error) {
-	if e.readOnly.Load() {
-		return false, ErrReadOnly
-	}
-	if m := e.quota.MaxFacts; m > 0 && int64(e.db.TupleCount()) >= m {
-		return false, fmt.Errorf("%w: database holds %d tuples (limit %d)", ErrFactLimitExceeded, e.db.TupleCount(), m)
-	}
-	added := e.db.AddFact(pred, consts...)
-	e.maybeAutoCheckpoint()
-	return added, nil
-}
 
 // withGasCtx attaches the engine's default gas budget to ctx unless the
 // caller already supplied a meter (a serving layer's per-tenant budget
