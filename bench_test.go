@@ -629,7 +629,7 @@ func BenchmarkCountingAblation(b *testing.B) {
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, s, err := plan.EvalCounting(db, 200)
+			rel, s, err := plan.EvalCounting(context.Background(), db, 200)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func TestPublicAPICountingAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := st.Answers()
-	counted, _, err := plan.EvalCounting(db, 50)
+	counted, _, err := plan.EvalCounting(context.Background(), db, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

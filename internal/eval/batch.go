@@ -225,35 +225,38 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
 	workers := p.effectiveWorkers()
 	stats := EvalStats{CarryArity: p.CarryArity, Workers: workers, Shards: nshards}
+	f := p.compileF(syms, -1)
+	g := p.compileG(syms, -1)
 
+	// Per query: the answer relation and the assembler that fills it
+	// from the shared g-join solutions, with the query's constants and
+	// factor groups. A query with an empty factor group has depth-0
+	// answers only, so it never seeds the traversal.
 	ans := make([]*storage.Relation, k)
-	groups := make([][]groupResult, k)
-	qconsts := make([]storage.Tuple, k)
+	asms := make([]assembler, k)
 	alive := make([]bool, k)
 	for q, bp := range bound {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		ans[q] = storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards)
+		rel := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards)
+		ans[q] = rel
+		insert := func(t storage.Tuple) bool {
+			rel.Insert(t)
+			return true
+		}
 		// Depth-0 answers use the query's own constants; no sharing.
 		stats.GProbes++
-		bp.d0Join(syms, resolve, -1, func(t storage.Tuple) bool {
-			ans[q].Insert(t)
-			return true
-		})
-		gs, ok := bp.evalFactoredGroups(syms, resolve)
+		bp.compileD0(syms, -1).run(bp, syms, resolve, insert)
+		groups, ok := bp.evalFactoredGroups(syms, resolve)
 		if !ok {
-			// An empty factor group: this query has depth-0 answers only,
-			// so it never seeds the traversal.
 			continue
 		}
-		groups[q] = gs
-		qconsts[q] = bp.queryConsts(syms)
+		asms[q] = assembler{srcs: fillQueryConsts(g.srcs, bp.queryConsts(syms)), groups: groups, sink: insert}
 		alive[q] = true
 	}
 
 	nAnchors := len(p.foldedAnchors)
-	carryWidth := nAnchors + len(p.ctxCols)
 
 	// Owner table: every distinct context with the (multi-word) bitmask
 	// of queries that reach it.
@@ -279,11 +282,8 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			continue
 		}
 		bit := bitset.Bit(k, q)
-		bp.forEachSeedContext(syms, resolve, -1, func(tup storage.Tuple) { merge(tup, bit) })
+		bp.compileSeed(syms, -1).run(bp, resolve, func(tup storage.Tuple) { merge(tup, bit) })
 	}
-
-	f := p.compileF(syms, -1)
-	g := p.compileG(syms, -1)
 
 	var frontier []ownerItem
 	flush := func() {
@@ -310,27 +310,15 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		stats.Batches++
 		results := make([][]taggedCtx, workers)
 		parallelFor(workers, len(frontier), func(w, lo, hi int) {
-			slots := make([]storage.Value, f.nslots)
-			boundFlags := make([]bool, f.nslots)
-			tup := make(storage.Tuple, carryWidth)
-			sc := f.conj.newScratch()
+			ws := f.scratch(nAnchors)
 			var local []taggedCtx
+			var mask bitset.Mask
+			tag := func(tup storage.Tuple) {
+				local = append(local, taggedCtx{tup: tup.Clone(), mask: mask})
+			}
 			for _, it := range frontier[lo:hi] {
-				c := ix.ctxs[it.idx]
-				for i := range boundFlags {
-					boundFlags[i] = false
-				}
-				for i, sl := range f.headSlots {
-					slots[sl] = c[nAnchors+i]
-					boundFlags[sl] = true
-				}
-				anchorPart := c[:nAnchors]
-				f.conj.runS(resolve, slots, boundFlags, sc, func(s []storage.Value) bool {
-					if f.proj.projectCtx(s, anchorPart, tup, syms) {
-						local = append(local, taggedCtx{tup: tup.Clone(), mask: it.mask})
-					}
-					return true
-				})
+				mask = it.mask
+				f.step(resolve, ix.ctxs[it.idx], nAnchors, &ws, tag)
 			}
 			results[w] = local
 		})
@@ -350,54 +338,19 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		return nil, stats, err
 	}
 	parallelFor(workers, len(ix.ctxs), func(w, lo, hi int) {
-		gSlots := make([]storage.Value, g.nslots)
-		gBound := make([]bool, g.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		sc := g.conj.newScratch()
-		var emitOwner func(q, gi int, s []storage.Value, anchorPart storage.Tuple)
-		emitOwner = func(q, gi int, s []storage.Value, anchorPart storage.Tuple) {
-			if gi == len(groups[q]) {
-				for oi, src := range g.srcs {
-					switch src.kind {
-					case 0:
-						out[oi] = qconsts[q][oi]
-					case 1:
-						out[oi] = s[src.idx]
-					case 2:
-						out[oi] = anchorPart[src.idx]
-					}
+		ws := g.scratch(p.Def.Arity())
+		var mask bitset.Mask
+		fanOut := func(s []storage.Value, anchors storage.Tuple) bool {
+			for q := range asms {
+				if mask.Test(q) {
+					asms[q].emit(s, anchors, ws.out)
 				}
-				ans[q].Insert(out)
-				return
 			}
-			for _, gt := range groups[q][gi].tuples {
-				for oi, src := range g.srcs {
-					if src.kind == 3 && src.idx == gi {
-						out[oi] = gt[src.pos]
-					}
-				}
-				emitOwner(q, gi+1, s, anchorPart)
-			}
+			return true
 		}
 		for i := lo; i < hi; i++ {
-			c := ix.ctxs[i]
-			mask := masks[i]
-			for j := range gBound {
-				gBound[j] = false
-			}
-			for j, sl := range g.ctxSlots {
-				gSlots[sl] = c[nAnchors+j]
-				gBound[sl] = true
-			}
-			anchorPart := c[:nAnchors]
-			g.conj.runS(resolve, gSlots, gBound, sc, func(s []storage.Value) bool {
-				for q := 0; q < k; q++ {
-					if mask.Test(q) {
-						emitOwner(q, 0, s, anchorPart)
-					}
-				}
-				return true
-			})
+			mask = masks[i]
+			g.step(resolve, ix.ctxs[i], nAnchors, &ws, fanOut)
 		}
 	})
 	answers := 0

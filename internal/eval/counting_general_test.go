@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestCountingGeneralMatchesEvalOnDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := plan.EvalCounting(db, 100)
+	got, stats, err := plan.EvalCounting(context.Background(), db, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCountingGeneralDivergesOnCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := plan.EvalCounting(db, 20); err == nil {
+	if _, _, err := plan.EvalCounting(context.Background(), db, 20); err == nil {
 		t.Fatal("expected divergence error on cyclic data")
 	}
 	if _, _, err := evalPlan(plan, db); err != nil {
@@ -87,7 +88,7 @@ func TestCountingGeneralStateBlowup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cntStats, err := plan.EvalCounting(db, 100)
+	_, cntStats, err := plan.EvalCounting(context.Background(), db, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCountingGeneralRequiresContextMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := plan.EvalCounting(storage.NewDatabase(), 10); err == nil {
+	if _, _, err := plan.EvalCounting(context.Background(), storage.NewDatabase(), 10); err == nil {
 		t.Fatal("expected mode error")
 	}
 }
@@ -134,7 +135,7 @@ func TestCountingGeneralPermissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.EvalCounting(db, 50)
+	got, _, err := plan.EvalCounting(context.Background(), db, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,11 @@ package eval
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
+
+	"repro/internal/parser"
+	"repro/internal/storage"
 )
 
 func TestMeterCharge(t *testing.T) {
@@ -55,5 +59,25 @@ func TestMeterContext(t *testing.T) {
 	// Attaching nil is a no-op wrapper (still no meter).
 	if MeterFrom(WithMeter(context.Background(), nil)) != nil {
 		t.Fatal("nil meter attachment must read back as unlimited")
+	}
+}
+
+// TestCountingChargesDepthZero: both Fig. 9 and Counting charge the
+// depth-0 answers, so an exit-only selection larger than the budget
+// exhausts it under either driver.
+func TestCountingChargesDepthZero(t *testing.T) {
+	db := storage.NewDatabase()
+	for i := 0; i < 50; i++ {
+		db.AddFact("b", "n0", "e"+strconv.Itoa(i))
+	}
+	plan, err := CompileSelection(mustDef(t, tcSrc, "t"), parser.MustParseAtom("t(n0, Y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Open(WithMeter(context.Background(), NewMeter(10)), db, nil); !errors.Is(err, ErrGasExhausted) {
+		t.Fatalf("Open err = %v, want ErrGasExhausted", err)
+	}
+	if _, _, err := plan.EvalCounting(WithMeter(context.Background(), NewMeter(10)), db, 10); !errors.Is(err, ErrGasExhausted) {
+		t.Fatalf("EvalCounting err = %v, want ErrGasExhausted", err)
 	}
 }

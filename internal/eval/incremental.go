@@ -113,18 +113,10 @@ func streamed(ctx context.Context, ans *storage.Relation, emit func(storage.Tupl
 type incContext struct {
 	plan  *Plan
 	ce    *contextEval
-	fVars map[int]fOps
-	gVars map[int]gVarOps
+	fVars map[int]*fOps
+	gVars map[int]*gOps
 	dVars map[int]d0Ops
 	sVars map[int]seedOps
-}
-
-// gVarOps is a compiled delta variant of g plus its query-constant-
-// filled source table (the sources reference the variant's own slot
-// space, so they cannot be shared with the full operator's).
-type gVarOps struct {
-	ops  gOps
-	srcs []colSrc
 }
 
 func (ic *incContext) Answers() *storage.Relation { return ic.ce.ans }
@@ -145,15 +137,21 @@ func cachedVar[V any](m *map[int]V, i int, compile func() V) V {
 }
 
 // fVar returns the f delta variant for recursive-body index i.
-func (ic *incContext) fVar(i int) fOps {
-	return cachedVar(&ic.fVars, i, func() fOps { return ic.plan.compileF(ic.ce.syms, i) })
+func (ic *incContext) fVar(i int) *fOps {
+	return cachedVar(&ic.fVars, i, func() *fOps {
+		f := ic.plan.compileF(ic.ce.syms, i)
+		return &f
+	})
 }
 
-// gVar returns the g delta variant for exit-body index i.
-func (ic *incContext) gVar(i int) gVarOps {
-	return cachedVar(&ic.gVars, i, func() gVarOps {
-		ops := ic.plan.compileG(ic.ce.syms, i)
-		return gVarOps{ops: ops, srcs: fillQueryConsts(ops.srcs, ic.plan.queryConsts(ic.ce.syms))}
+// gVar returns the g delta variant for exit-body index i, its
+// query-constant sources filled (they reference the variant's own slot
+// space, so they cannot be shared with the loop's g).
+func (ic *incContext) gVar(i int) *gOps {
+	return cachedVar(&ic.gVars, i, func() *gOps {
+		g := ic.plan.compileG(ic.ce.syms, i)
+		g.srcs = fillQueryConsts(g.srcs, ic.plan.queryConsts(ic.ce.syms))
+		return &g
 	})
 }
 
@@ -171,13 +169,14 @@ func (ic *incContext) seedVar(i int) seedOps {
 //
 //  1. depth-0 answers that use a new exit-body tuple (d0 delta variants);
 //  2. new seed contexts from delta-restricted seed conjunctions;
-//  3. new transitions out of already-seen contexts (f delta variants run
-//     over the retained seen-set — the delta atom keeps each probe tiny);
+//  3. new transitions out of already-seen contexts: fBatch with an f
+//     delta variant over the pre-update seen-set — the delta atom keeps
+//     each probe tiny;
 //  4. the ordinary Fig. 9 loop over the genuinely new contexts, using
 //     the retained full operators and the retained seen-set as the
 //     dedup/claim point;
 //  5. new answers for already-seen contexts that use a new exit-body
-//     tuple (g delta variants).
+//     tuple: gBatch with a g delta variant over the pre-update contexts.
 //
 // Anchor-free factor groups are pure nonemptiness guards: new tuples in
 // them change nothing while the group stays non-empty, and a flip from
@@ -232,29 +231,12 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 	// of the retained seen-set plus answers at batch granularity. An
 	// exhausted budget poisons the state exactly as a cancellation does.
 	meter := MeterFrom(ctx)
-	charged := ce.seen.Len() + ce.ans.Len()
-	charge := func() error {
-		cur := ce.seen.Len() + ce.ans.Len()
-		err := meter.Charge(cur - charged)
-		charged = cur
-		return err
-	}
 
-	if ce.noDepth {
+	if ce.noDepth && recChanged {
 		// Depth-0-only state: a delta touching the recursive body (which
 		// includes every factor-group guard) could flip an empty guard
 		// and enable depth >= 1 derivations nothing retained can derive.
-		if recChanged {
-			return ErrRebuild
-		}
-		for i, a := range exitBody {
-			if delta.Add[a.Pred] == nil {
-				continue
-			}
-			ce.stats.GProbes++
-			ic.d0Var(i).run(p, syms, dres, ce.emitAnswer)
-		}
-		return charge()
+		return ErrRebuild
 	}
 
 	// 1. Depth-0 delta answers.
@@ -265,7 +247,7 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 		ce.stats.GProbes++
 		ic.d0Var(i).run(p, syms, dres, ce.emitAnswer)
 	}
-	if err := charge(); err != nil {
+	if err := ce.charge(meter); err != nil || ce.noDepth {
 		return err
 	}
 
@@ -274,64 +256,35 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 	// through the full operators instead.
 	old := ce.seen.Tuples()
 
-	var frontier []storage.Tuple
-	claim := func(tup storage.Tuple) {
-		if ce.seen.Offer(tup) {
-			frontier = append(frontier, tup.Clone())
-		}
-	}
-
 	// 2. New seed contexts.
+	var frontier []storage.Tuple
 	for i, a := range p.seedAtoms() {
 		if delta.Add[a.Pred] == nil {
 			continue
 		}
-		ic.seedVar(i).run(p, syms, dres, claim)
+		ic.seedVar(i).run(p, dres, func(tup storage.Tuple) {
+			if ce.seen.Offer(tup) {
+				frontier = append(frontier, tup.Clone())
+			}
+		})
 	}
 
-	// 3. New transitions out of already-seen contexts.
+	// 3. New transitions out of already-seen contexts. The delta
+	// variants of steps 3 and 5 run on one worker: each probe is a
+	// sub-microsecond lookup in the same small unsharded delta relation,
+	// and split across workers the maintained-insert benchmark ran
+	// slower.
 	for i, a := range recBody {
 		if delta.Add[a.Pred] == nil {
 			continue
 		}
-		fv := ic.fVar(i)
-		slots := make([]storage.Value, fv.nslots)
-		bound := make([]bool, fv.nslots)
-		tup := make(storage.Tuple, ce.carryWidth)
-		sc := fv.conj.newScratch()
-		for _, c := range old {
-			for j := range bound {
-				bound[j] = false
-			}
-			for j, sl := range fv.headSlots {
-				slots[sl] = c[ce.nAnchors+j]
-				bound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			fv.conj.runS(dres, slots, bound, sc, func(s []storage.Value) bool {
-				if fv.proj.projectCtx(s, anchorPart, tup, syms) {
-					claim(tup)
-				}
-				return true
-			})
-		}
+		frontier = append(frontier, ce.fBatch(ic.fVar(i), dres, 1, old)...)
 	}
 
 	// 4. Fig. 9 loop over the new contexts, on the retained state.
 	if len(frontier) > 0 {
-		ce.stats.Batches++
-		ce.gBatch(frontier)
-		for len(frontier) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := charge(); err != nil {
-				return err
-			}
-			ce.stats.Iterations++
-			ce.stats.Batches++
-			frontier = ce.fBatch(frontier)
-			ce.gBatch(frontier)
+		if err := ce.loop(ctx, meter, frontier); err != nil {
+			return err
 		}
 	}
 
@@ -340,29 +293,11 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 		if delta.Add[a.Pred] == nil {
 			continue
 		}
-		gv := ic.gVar(i)
-		gSlots := make([]storage.Value, gv.ops.nslots)
-		gBound := make([]bool, gv.ops.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		sc := gv.ops.conj.newScratch()
-		ce.stats.GProbes += len(old)
-		for _, c := range old {
-			for j := range gBound {
-				gBound[j] = false
-			}
-			for j, sl := range gv.ops.ctxSlots {
-				gSlots[sl] = c[ce.nAnchors+j]
-				gBound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			gv.ops.conj.runS(dres, gSlots, gBound, sc, func(s []storage.Value) bool {
-				return ce.emitProductsWith(gv.srcs, 0, s, anchorPart, out)
-			})
-		}
+		ce.gBatch(ic.gVar(i), dres, 1, old)
 	}
 
 	ce.stats.SeenSize = ce.seen.Len()
-	if err := charge(); err != nil {
+	if err := ce.charge(meter); err != nil {
 		return err
 	}
 	return ctx.Err()

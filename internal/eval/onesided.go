@@ -442,17 +442,16 @@ type colSrc struct {
 // f (carry transition) and g (answer join) operators plus the shared
 // seen-set and answer state the parallel batch workers update. The
 // compiled operators are immutable during the run; workers share them
-// and keep private slot/scratch buffers.
+// and keep private scratch (see stepScratch).
 type contextEval struct {
 	p       *Plan
 	syms    *storage.SymbolTable
 	resolve resolver
 	workers int
 
-	ans        *storage.Relation
-	seen       seenSet
-	carryWidth int
-	nAnchors   int
+	ans      *storage.Relation
+	seen     seenSet
+	nAnchors int
 
 	// emit, when non-nil, receives each distinct answer tuple once;
 	// emitMu serializes calls from parallel g workers. aborted latches a
@@ -467,17 +466,16 @@ type contextEval struct {
 	noDepth bool
 
 	stats EvalStats
+	// charged is the seen-set plus answer size last charged to the gas
+	// meter (see charge).
+	charged int
 
-	fConj      *compiledConj
-	fProj      *carryProj
-	fHeadSlots []int
-	fNslots    int
-
-	gConj     *compiledConj
-	gCtxSlots []int
-	gNslots   int
-	groups    []groupResult
-	srcs      []colSrc
+	// f and g are the loop's operators, g's query-constant sources
+	// filled; groups are the materialized factor groups g's answers
+	// cross in.
+	f      fOps
+	g      gOps
+	groups []groupResult
 }
 
 // altFlagsFor builds the compileConj altFlags slice marking index
@@ -535,28 +533,23 @@ func (p *Plan) compileD0(syms *storage.SymbolTable, altIdx int) d0Ops {
 func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, sink func(storage.Tuple) bool) {
 	slots := make([]storage.Value, d.nslots)
 	bound := make([]bool, d.nslots)
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = syms.Intern(a.Name)
-		}
-	}
+	out := p.queryConsts(syms)
 	d.conj.run(resolve, slots, bound, func(s []storage.Value) bool {
-		for ri, oi := range p.keepCols {
-			ref := d.headRefs.args[ri]
-			if ref.isConst {
-				out[oi] = ref.val
-			} else {
-				out[oi] = s[ref.slot]
-			}
-		}
-		return sink(out)
+		return sink(d.assemble(p, s, out))
 	})
 }
 
-// d0Join compiles and evaluates the depth-0 exit join in one call.
-func (p *Plan) d0Join(syms *storage.SymbolTable, resolve resolver, altIdx int, sink func(storage.Tuple) bool) {
-	p.compileD0(syms, altIdx).run(p, syms, resolve, sink)
+// assemble writes one exit-join solution's answer columns into out,
+// whose bound columns already hold the query constants.
+func (d d0Ops) assemble(p *Plan, s []storage.Value, out storage.Tuple) storage.Tuple {
+	for ri, oi := range p.keepCols {
+		if ref := d.headRefs.args[ri]; ref.isConst {
+			out[oi] = ref.val
+		} else {
+			out[oi] = s[ref.slot]
+		}
+	}
+	return out
 }
 
 // runParallel splits the depth-0 join's outer scan across the worker
@@ -577,12 +570,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 	parallelFor(workers, len(rows)/arity, func(w, lo, hi int) {
 		slots := make([]storage.Value, d.nslots)
 		bound := make([]bool, d.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		for i, a := range p.Query.Args {
-			if a.IsConst() {
-				out[i] = syms.Intern(a.Name)
-			}
-		}
+		out := p.queryConsts(syms)
 		sc := c.newScratch()
 		// Worker-local dedup in front of the shared sink: projections
 		// are duplicate-heavy (most join solutions collapse onto answers
@@ -592,15 +580,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 		// into shared state.
 		local := storage.NewRelation(p.Def.Arity(), nil)
 		emit := func(s []storage.Value) bool {
-			for ri, oi := range p.keepCols {
-				ref := d.headRefs.args[ri]
-				if ref.isConst {
-					out[oi] = ref.val
-				} else {
-					out[oi] = s[ref.slot]
-				}
-			}
-			if !local.Insert(out) {
+			if !local.Insert(d.assemble(p, s, out)) {
 				return true
 			}
 			if !sink(out) {
@@ -659,14 +639,18 @@ func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver) (
 // (substitution preserves predicates, so delta-variant indices computed
 // against this list line up with the compiled conjunction).
 func (p *Plan) seedAtoms() []ast.Atom {
+	body := p.reduced.NonrecursiveBody()
+	if len(p.factored) == 0 {
+		return body
+	}
 	factoredIdx := make(map[string]bool)
 	for _, fg := range p.factored {
 		for _, a := range fg.atoms {
 			factoredIdx[a.String()] = true
 		}
 	}
-	var out []ast.Atom
-	for _, a := range p.reduced.NonrecursiveBody() {
+	out := body[:0]
+	for _, a := range body {
 		if !factoredIdx[a.String()] {
 			out = append(out, a)
 		}
@@ -698,22 +682,15 @@ func (p *Plan) compileSeed(syms *storage.SymbolTable, altIdx int) seedOps {
 // run evaluates the compiled seed conjunction, yielding each projected
 // carry tuple (anchors then context columns). Tuples are scratch and
 // may repeat; the caller deduplicates.
-func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, yield func(storage.Tuple)) {
+func (so seedOps) run(p *Plan, resolve resolver, yield func(storage.Tuple)) {
 	slots := make([]storage.Value, so.nslots)
 	bound := make([]bool, so.nslots)
 	tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 	so.conj.run(resolve, slots, bound, func(s []storage.Value) bool {
-		if so.proj.project(s, tup, syms) {
-			yield(tup)
-		}
+		so.proj.project(s, tup)
+		yield(tup)
 		return true
 	})
-}
-
-// forEachSeedContext compiles and evaluates the seed conjunction in one
-// call.
-func (p *Plan) forEachSeedContext(syms *storage.SymbolTable, resolve resolver, altIdx int, yield func(storage.Tuple)) {
-	p.compileSeed(syms, altIdx).run(p, syms, resolve, yield)
 }
 
 // runParallel evaluates the seed conjunction with the outermost atom's
@@ -729,11 +706,11 @@ func (p *Plan) forEachSeedContext(syms *storage.SymbolTable, resolve resolver, a
 // cannot help or would change the traversal: one worker, no atoms, an
 // arity-0 outer atom, or an existential outer atom (its first match is
 // supposed to decide the whole evaluation).
-func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, workers int, yield func(worker int, tup storage.Tuple)) {
+func (so seedOps) runParallel(p *Plan, resolve resolver, workers int, yield func(worker int, tup storage.Tuple)) {
 	c := so.conj
 	rows, arity, ok := outerScan(c, resolve, workers)
 	if !ok {
-		so.run(p, syms, resolve, func(tup storage.Tuple) { yield(0, tup) })
+		so.run(p, resolve, func(tup storage.Tuple) { yield(0, tup) })
 		return
 	}
 	parallelFor(workers, len(rows)/arity, func(w, lo, hi int) {
@@ -742,9 +719,8 @@ func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolv
 		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 		sc := c.newScratch()
 		emit := func(s []storage.Value) bool {
-			if so.proj.project(s, tup, syms) {
-				yield(w, tup)
-			}
+			so.proj.project(s, tup)
+			yield(w, tup)
 			return true
 		}
 		for ri := lo; ri < hi; ri++ {
@@ -860,6 +836,62 @@ func (p *Plan) compileF(syms *storage.SymbolTable, altIdx int) fOps {
 	return f
 }
 
+// stepScratch is one worker's reusable state for the per-context f and
+// g steps: the operator conjunction's slots, bound flags and lookup
+// scratch, plus out, the tuple the step writes (a successor carry tuple
+// for f, an answer for g). Drivers allocate one per parallel chunk and
+// reuse it across the chunk's contexts; it must not be shared across
+// goroutines.
+type stepScratch struct {
+	slots []storage.Value
+	bound []bool
+	sc    conjScratch
+	out   storage.Tuple
+}
+
+func newStepScratch(c *compiledConj, nslots, width int) stepScratch {
+	return stepScratch{
+		slots: make([]storage.Value, nslots),
+		bound: make([]bool, nslots),
+		sc:    *c.newScratch(),
+		out:   make(storage.Tuple, width),
+	}
+}
+
+// bind resets the bound flags and binds the context columns of carry
+// tuple c — the values after its nAnchors anchors — into ctxSlots. It
+// returns c's anchor part.
+func (ws *stepScratch) bind(ctxSlots []int, c storage.Tuple, nAnchors int) storage.Tuple {
+	for i := range ws.bound {
+		ws.bound[i] = false
+	}
+	for i, sl := range ctxSlots {
+		ws.slots[sl] = c[nAnchors+i]
+		ws.bound[sl] = true
+	}
+	return c[:nAnchors]
+}
+
+// scratch allocates a worker's stepScratch for f over carry tuples with
+// nAnchors anchors.
+func (f *fOps) scratch(nAnchors int) stepScratch {
+	return newStepScratch(f.conj, f.nslots, nAnchors+len(f.headSlots))
+}
+
+// step applies f to one carried context c: the recursive rule one level
+// deeper, with c's context columns bound. Each successor carry tuple
+// (c's anchors passed through, then the new context columns) goes to
+// yield as ws.out scratch — copy to retain; successors may repeat and
+// the driver deduplicates.
+func (f *fOps) step(res resolver, c storage.Tuple, nAnchors int, ws *stepScratch, yield func(storage.Tuple)) {
+	anchors := ws.bind(f.headSlots, c, nAnchors)
+	f.conj.runS(res, ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
+		f.proj.projectCtx(s, anchors, ws.out)
+		yield(ws.out)
+		return true
+	})
+}
+
 // gOps is the compiled answer-join operator g: the exit rule probed per
 // carried context, plus the head-assembly map. Sources of kind 0 (query
 // constants) carry no value — the evaluation fills them per query (see
@@ -943,6 +975,70 @@ func (p *Plan) compileG(syms *storage.SymbolTable, altIdx int) gOps {
 	return g
 }
 
+// scratch allocates a worker's stepScratch for g; out is the answer
+// tuple assembler.emit writes.
+func (g *gOps) scratch(arity int) stepScratch {
+	return newStepScratch(g.conj, g.nslots, arity)
+}
+
+// step joins one carried context c with the exit rule: each join
+// solution goes to solution with c's anchor part, and a false return
+// stops the join. One step is one g-probe.
+func (g *gOps) step(res resolver, c storage.Tuple, nAnchors int, ws *stepScratch, solution func(s []storage.Value, anchors storage.Tuple) bool) {
+	anchors := ws.bind(g.ctxSlots, c, nAnchors)
+	g.conj.runS(res, ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
+		return solution(s, anchors)
+	})
+}
+
+// assembler turns g-join solutions into one query's answers: srcs says
+// where each answer column comes from (query constants filled, see
+// fillQueryConsts), groups are the query's materialized factor groups,
+// crossed into every solution, and sink receives each assembled answer
+// as scratch and returns false to stop.
+type assembler struct {
+	srcs   []colSrc
+	groups []groupResult
+	sink   func(storage.Tuple) bool
+}
+
+// emit assembles the answers of g-join solution s for a context with
+// anchor part anchors into out, the caller's scratch tuple. It returns
+// false once the sink has asked to stop.
+func (a *assembler) emit(s []storage.Value, anchors, out storage.Tuple) bool {
+	return a.cross(0, s, anchors, out)
+}
+
+// cross fills factor group gi's columns from each of its tuples in turn
+// and recurses into the next group; past the last group it fills the
+// remaining columns and hands the answer to the sink.
+func (a *assembler) cross(gi int, s []storage.Value, anchors, out storage.Tuple) bool {
+	if gi == len(a.groups) {
+		for oi, src := range a.srcs {
+			switch src.kind {
+			case 0:
+				out[oi] = src.val
+			case 1:
+				out[oi] = s[src.idx]
+			case 2:
+				out[oi] = anchors[src.idx]
+			}
+		}
+		return a.sink(out)
+	}
+	for _, gt := range a.groups[gi].tuples {
+		for oi, src := range a.srcs {
+			if src.kind == 3 && src.idx == gi {
+				out[oi] = gt[src.pos]
+			}
+		}
+		if !a.cross(gi+1, s, anchors, out) {
+			return false
+		}
+	}
+	return true
+}
+
 // queryConsts returns, for each original column whose source is a query
 // constant (colSrc kind 0), the interned value; other columns are zero.
 func (p *Plan) queryConsts(syms *storage.SymbolTable) storage.Tuple {
@@ -963,23 +1059,22 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 	syms := edb.Syms
 	nshards := edb.Shards()
 	ce := &contextEval{
-		p:       p,
-		syms:    syms,
-		resolve: func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) },
-		workers: p.effectiveWorkers(),
-		emit:    emit,
-		ans:     storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards),
+		p:        p,
+		syms:     syms,
+		resolve:  func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) },
+		workers:  p.effectiveWorkers(),
+		emit:     emit,
+		ans:      storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards),
+		nAnchors: len(p.foldedAnchors),
 	}
-	ce.nAnchors = len(p.foldedAnchors)
-	ce.carryWidth = ce.nAnchors + len(p.ctxCols)
-	if ce.carryWidth == 1 {
+	if width := ce.nAnchors + len(p.ctxCols); width == 1 {
 		// Unary carry: the seen-set is a concurrent bitset over the dense
 		// interned Value space — the Fig. 9 membership test becomes a word
 		// operation. Sized to the symbol table now; values interned later
 		// (incremental updates) fall into the bitset's overflow.
 		ce.seen = &bitsetSeen{set: bitset.NewConcurrent(syms.Len())}
 	} else {
-		ce.seen = storage.NewShardedRelation(ce.carryWidth, nil, nshards)
+		ce.seen = storage.NewShardedRelation(width, nil, nshards)
 	}
 	ce.stats = EvalStats{CarryArity: p.CarryArity, Workers: ce.workers, Shards: nshards}
 	return ce
@@ -1036,18 +1131,7 @@ func (ce *contextEval) run(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	// Gas: the derived-tuple budget is charged at batch granularity — the
-	// growth of the seen-set plus the answer set since the last charge —
-	// so one check per Fig. 9 iteration bounds a runaway recursion.
 	meter := MeterFrom(ctx)
-	charged := 0
-	charge := func() error {
-		cur := ce.seen.Len() + ce.ans.Len()
-		err := meter.Charge(cur - charged)
-		charged = cur
-		return err
-	}
 
 	// Depth-0: exit rule with the bound head columns substituted. These
 	// are the first streamed answers — no fixpoint work precedes them.
@@ -1060,7 +1144,7 @@ func (ce *contextEval) run(ctx context.Context) error {
 	if ce.aborted.Load() {
 		return ce.finish(ctx)
 	}
-	if err := charge(); err != nil {
+	if err := ce.charge(meter); err != nil {
 		return err
 	}
 
@@ -1076,10 +1160,10 @@ func (ce *contextEval) run(ctx context.Context) error {
 
 	// Seed contexts, deduplicated through the shared seen-set. The seed
 	// conjunction's outer scan is split across the worker pool (the
-	// seen-set's Insert is the concurrent claim point, exactly as in
+	// seen-set's Offer is the concurrent claim point, exactly as in
 	// fBatch); per-worker slices keep the merge allocation-cheap.
 	seedLocal := make([][]storage.Tuple, ce.workers)
-	p.compileSeed(syms, -1).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
+	p.compileSeed(syms, -1).runParallel(p, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
 		if ce.seen.Offer(tup) {
 			seedLocal[w] = append(seedLocal[w], tup.Clone())
 		}
@@ -1089,39 +1173,51 @@ func (ce *contextEval) run(ctx context.Context) error {
 		carry = append(carry, l...)
 	}
 
-	f := p.compileF(syms, -1)
-	ce.fConj, ce.fProj, ce.fHeadSlots, ce.fNslots = f.conj, f.proj, f.headSlots, f.nslots
+	ce.f = p.compileF(syms, -1)
+	ce.g = p.compileG(syms, -1)
+	ce.g.srcs = fillQueryConsts(ce.g.srcs, p.queryConsts(syms))
+	if err := ce.loop(ctx, meter, carry); err != nil {
+		return err
+	}
+	if err := ce.charge(meter); err != nil {
+		return err
+	}
+	return ce.finish(ctx)
+}
 
-	g := p.compileG(syms, -1)
-	ce.gConj, ce.gCtxSlots, ce.gNslots = g.conj, g.ctxSlots, g.nslots
-	// Fill the query-constant sources (kind 0) with this plan's values.
-	ce.srcs = fillQueryConsts(g.srcs, p.queryConsts(syms))
-
-	// Fig. 9 while loop, one parallel batch per level: g joins the new
-	// contexts (streaming their answers), f produces the next level.
+// loop is the Fig. 9 while loop from a batch of new contexts, one
+// parallel batch per level: g joins the level's contexts (streaming
+// their answers) and f produces the next level, until no new contexts
+// appear. Gas is charged once per iteration.
+func (ce *contextEval) loop(ctx context.Context, meter *Meter, carry []storage.Tuple) error {
 	ce.stats.Batches++
-	ce.gBatch(carry)
+	ce.gBatch(&ce.g, ce.resolve, ce.workers, carry)
 	for len(carry) > 0 && !ce.aborted.Load() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := charge(); err != nil {
-			ce.stats.SeenSize = ce.seen.Len()
+		if err := ce.charge(meter); err != nil {
 			return err
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		carry = ce.fBatch(carry)
-		if p.TestIterHook != nil {
-			p.TestIterHook(ce.stats.Iterations)
+		carry = ce.fBatch(&ce.f, ce.resolve, ce.workers, carry)
+		if hook := ce.p.TestIterHook; hook != nil {
+			hook(ce.stats.Iterations)
 		}
-		ce.gBatch(carry)
+		ce.gBatch(&ce.g, ce.resolve, ce.workers, carry)
 	}
-	if err := charge(); err != nil {
-		ce.stats.SeenSize = ce.seen.Len()
-		return err
-	}
-	return ce.finish(ctx)
+	return nil
+}
+
+// charge meters the derived-tuple budget at batch granularity: the
+// growth of the seen-set plus the answer set since the last charge, so
+// one check per Fig. 9 iteration bounds a runaway recursion.
+func (ce *contextEval) charge(meter *Meter) error {
+	cur := ce.seen.Len() + ce.ans.Len()
+	err := meter.Charge(cur - ce.charged)
+	ce.charged = cur
+	return err
 }
 
 // fillQueryConsts copies a g operator's source table with the kind-0
@@ -1149,41 +1245,26 @@ func (ce *contextEval) finish(ctx context.Context) error {
 	return nil
 }
 
-// fBatch applies the recursive rule one level deeper to a carry batch,
-// split across the worker pool, and returns the genuinely new contexts.
-// Workers claim contexts through the sharded seen-set (Insert returns
-// true exactly once per tuple), so the returned level is a set no matter
-// how the batch was partitioned.
-func (ce *contextEval) fBatch(carry []storage.Tuple) []storage.Tuple {
-	results := make([][]storage.Tuple, ce.workers)
-	parallelFor(ce.workers, len(carry), func(w, lo, hi int) {
-		slots := make([]storage.Value, ce.fNslots)
-		bound := make([]bool, ce.fNslots)
-		tup := make(storage.Tuple, ce.carryWidth)
-		sc := ce.fConj.newScratch()
+// fBatch applies f — the loop's operator or a delta variant, resolved
+// through res — to a carry batch, split across up to workers workers,
+// and returns the genuinely new contexts. Workers claim contexts through
+// the shared seen-set (Offer returns true exactly once per tuple), so
+// the returned level is a set no matter how the batch was partitioned.
+func (ce *contextEval) fBatch(f *fOps, res resolver, workers int, carry []storage.Tuple) []storage.Tuple {
+	results := make([][]storage.Tuple, workers)
+	parallelFor(workers, len(carry), func(w, lo, hi int) {
+		ws := f.scratch(ce.nAnchors)
 		var local []storage.Tuple
+		claim := func(tup storage.Tuple) {
+			if ce.seen.Offer(tup) {
+				local = append(local, tup.Clone())
+			}
+		}
 		for _, c := range carry[lo:hi] {
 			if ce.aborted.Load() {
 				break
 			}
-			for i := range bound {
-				bound[i] = false
-			}
-			// Anchor passthrough and context binding.
-			for i, sl := range ce.fHeadSlots {
-				slots[sl] = c[ce.nAnchors+i]
-				bound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			ce.fConj.runS(ce.resolve, slots, bound, sc, func(s []storage.Value) bool {
-				if !ce.fProj.projectCtx(s, anchorPart, tup, ce.syms) {
-					return true
-				}
-				if ce.seen.Offer(tup) {
-					local = append(local, tup.Clone())
-				}
-				return true
-			})
+			f.step(res, c, ce.nAnchors, &ws, claim)
 		}
 		results[w] = local
 	})
@@ -1194,71 +1275,26 @@ func (ce *contextEval) fBatch(carry []storage.Tuple) []storage.Tuple {
 	return next
 }
 
-// gBatch joins a batch of new contexts with the exit rule and emits the
-// assembled answers, split across the worker pool. Each context's probe
-// is independent, so partitioning is safe; answer dedup happens in the
+// gBatch joins a batch of contexts with g — the loop's operator or a
+// delta variant, resolved through res — and emits the assembled
+// answers, split across up to workers workers. Each context's probe is
+// independent, so partitioning is safe; answer dedup happens in the
 // sharded answer relation.
-func (ce *contextEval) gBatch(batch []storage.Tuple) {
+func (ce *contextEval) gBatch(g *gOps, res resolver, workers int, batch []storage.Tuple) {
 	ce.stats.GProbes += len(batch)
-	parallelFor(ce.workers, len(batch), func(w, lo, hi int) {
-		gSlots := make([]storage.Value, ce.gNslots)
-		gBound := make([]bool, ce.gNslots)
-		out := make(storage.Tuple, ce.p.Def.Arity())
-		sc := ce.gConj.newScratch()
+	parallelFor(workers, len(batch), func(w, lo, hi int) {
+		ws := g.scratch(ce.p.Def.Arity())
+		asm := assembler{srcs: g.srcs, groups: ce.groups, sink: ce.emitAnswer}
+		answer := func(s []storage.Value, anchors storage.Tuple) bool {
+			return asm.emit(s, anchors, ws.out)
+		}
 		for _, c := range batch[lo:hi] {
 			if ce.aborted.Load() {
 				return
 			}
-			for i := range gBound {
-				gBound[i] = false
-			}
-			for i, sl := range ce.gCtxSlots {
-				gSlots[sl] = c[ce.nAnchors+i]
-				gBound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			ce.gConj.runS(ce.resolve, gSlots, gBound, sc, func(s []storage.Value) bool {
-				return ce.emitProducts(0, s, anchorPart, out)
-			})
+			g.step(res, c, ce.nAnchors, &ws, answer)
 		}
 	})
-}
-
-// emitProducts assembles answers for one g-join solution, crossing in the
-// factored groups, and routes them through emitAnswer. out is the
-// caller's scratch tuple. Returns false when the evaluation should stop.
-func (ce *contextEval) emitProducts(gi int, s []storage.Value, anchorPart, out storage.Tuple) bool {
-	return ce.emitProductsWith(ce.srcs, gi, s, anchorPart, out)
-}
-
-// emitProductsWith is emitProducts against an explicit source table —
-// delta variants of g compile their own slot spaces, so their kind-1
-// sources reference different slots than the retained full operator's.
-func (ce *contextEval) emitProductsWith(srcs []colSrc, gi int, s []storage.Value, anchorPart, out storage.Tuple) bool {
-	if gi == len(ce.groups) {
-		for oi, src := range srcs {
-			switch src.kind {
-			case 0:
-				out[oi] = src.val
-			case 1:
-				out[oi] = s[src.idx]
-			case 2:
-				out[oi] = anchorPart[src.idx]
-			}
-		}
-		return ce.emitAnswer(out)
-	}
-	for _, gt := range ce.groups[gi].tuples {
-		for oi, src := range srcs {
-			if src.kind == 3 && src.idx == gi {
-				out[oi] = gt[src.pos]
-			}
-		}
-		if !ce.emitProductsWith(srcs, gi+1, s, anchorPart, out) {
-			return false
-		}
-	}
-	return true
 }
 
 // emitAnswer records one answer tuple, forwarding genuinely new tuples to
@@ -1308,20 +1344,20 @@ func (p *Plan) carryProjection(ss *slotSpace, rec ast.Atom, syms *storage.Symbol
 }
 
 // project fills a carry tuple (anchors then ctx) from a solution.
-func (cp *carryProj) project(s []storage.Value, tup storage.Tuple, syms *storage.SymbolTable) bool {
+func (cp *carryProj) project(s []storage.Value, tup storage.Tuple) {
 	for i, sl := range cp.anchorSlots {
 		tup[i] = s[sl]
 	}
-	return cp.fillCtx(s, tup, len(cp.anchorSlots))
+	cp.fillCtx(s, tup, len(cp.anchorSlots))
 }
 
 // projectCtx fills a carry tuple using a fixed anchor part.
-func (cp *carryProj) projectCtx(s []storage.Value, anchorPart storage.Tuple, tup storage.Tuple, syms *storage.SymbolTable) bool {
+func (cp *carryProj) projectCtx(s []storage.Value, anchorPart storage.Tuple, tup storage.Tuple) {
 	copy(tup, anchorPart)
-	return cp.fillCtx(s, tup, len(anchorPart))
+	cp.fillCtx(s, tup, len(anchorPart))
 }
 
-func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) bool {
+func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) {
 	for i, r := range cp.ctxRefs {
 		if r.isConst {
 			tup[off+i] = r.val
@@ -1329,5 +1365,4 @@ func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) bool
 			tup[off+i] = s[r.slot]
 		}
 	}
-	return true
 }

@@ -272,7 +272,7 @@ func (c *countingPrepared) Open(ctx context.Context, edb *storage.Database, emit
 	if c.plan.NSlots > 0 {
 		return nil, errUnboundSkeleton(c.plan.Query)
 	}
-	ans, stats, err := c.plan.EvalCountingCtx(ctx, edb, c.maxDepth)
+	ans, stats, err := c.plan.EvalCounting(ctx, edb, c.maxDepth)
 	if err != nil {
 		return nil, err
 	}
