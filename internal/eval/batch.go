@@ -297,6 +297,10 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 
 	meter := MeterFrom(ctx)
 	stats.Batches++ // the seed batch
+	// One scratch per worker and operator, reused across levels; each
+	// chunk resolves it when it starts and flushes its tallies when it
+	// ends.
+	fws, gws := make([]stepScratch, workers), make([]stepScratch, workers)
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
@@ -310,7 +314,8 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		stats.Batches++
 		results := make([][]taggedCtx, workers)
 		parallelFor(workers, len(frontier), func(w, lo, hi int) {
-			ws := f.scratch(nAnchors)
+			ws := &fws[w]
+			f.prepare(ws, nAnchors, resolve)
 			var local []taggedCtx
 			var mask bitset.Mask
 			tag := func(tup storage.Tuple) {
@@ -318,8 +323,9 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			}
 			for _, it := range frontier[lo:hi] {
 				mask = it.mask
-				f.step(resolve, ix.ctxs[it.idx], nAnchors, &ws, tag)
+				f.step(ix.ctxs[it.idx], nAnchors, ws, tag)
 			}
+			ws.sc.flush()
 			results[w] = local
 		})
 		for _, r := range results {
@@ -338,7 +344,8 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		return nil, stats, err
 	}
 	parallelFor(workers, len(ix.ctxs), func(w, lo, hi int) {
-		ws := g.scratch(p.Def.Arity())
+		ws := &gws[w]
+		g.prepare(ws, p.Def.Arity(), resolve)
 		var mask bitset.Mask
 		fanOut := func(s []storage.Value, anchors storage.Tuple) bool {
 			for q := range asms {
@@ -350,8 +357,9 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		}
 		for i := lo; i < hi; i++ {
 			mask = masks[i]
-			g.step(resolve, ix.ctxs[i], nAnchors, &ws, fanOut)
+			g.step(ix.ctxs[i], nAnchors, ws, fanOut)
 		}
+		ws.sc.flush()
 	})
 	answers := 0
 	for _, r := range ans {

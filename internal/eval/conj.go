@@ -47,16 +47,31 @@ type compiledConj struct {
 
 // conjScratch is the reusable per-traversal state of a conjunction
 // evaluation: per-atom binding and newly-bound segments carved out of
-// two backing arrays, plus the buffer storage lookups yield rows into.
-// One scratch serves the whole step recursion — each atom index owns a
+// two backing arrays, the buffer storage lookups yield rows into, and
+// each atom's relation with a tally of the probes made against it. One
+// scratch serves the whole step recursion — each atom index owns a
 // disjoint segment, and a yielded row is fully consumed before the next
 // lookup overwrites the buffer — but it must not be shared across
 // goroutines. Hot callers allocate one per worker and reuse it across
 // contexts via runS; run itself makes a fresh one per call.
+//
+// The scratch's owner resolves the atoms' relations once when it starts
+// a chunk of contexts or a run (resolve), not on every probe, and
+// publishes the probe tallies to the relations' counters once at the
+// end (flush), so probing a relation touches neither the database's
+// relation map nor its shared counters.
 type conjScratch struct {
 	bindBack []storage.Binding
 	newBack  []int
 	tupBuf   storage.Tuple
+	probes   []atomProbe
+}
+
+// atomProbe is one atom's resolved relation and the tally of the probes
+// made against it since the last flush.
+type atomProbe struct {
+	rel   *storage.Relation
+	tally storage.Tally
 }
 
 // newScratch allocates a scratch sized for this conjunction.
@@ -65,6 +80,28 @@ func (c *compiledConj) newScratch() *conjScratch {
 		bindBack: make([]storage.Binding, c.totalArgs),
 		newBack:  make([]int, c.totalArgs),
 		tupBuf:   make(storage.Tuple, c.maxArity),
+		probes:   make([]atomProbe, len(c.atoms)),
+	}
+}
+
+// resolve points the scratch at the relations res names for c's atoms.
+// The tallies must be empty: the previous chunk or run flushed them.
+func (sc *conjScratch) resolve(c *compiledConj, res resolver) {
+	for i, at := range c.atoms {
+		sc.probes[i].rel = res(at.pred, at.alt)
+	}
+}
+
+// flush publishes the probe tallies to the resolved relations'
+// counters and forgets the relations, so a scratch kept between runs
+// (a retained state's) pins none of them — a maintenance pass's delta
+// relations in particular. Owners call it when a chunk or run ends,
+// before the evaluation returns, so published counts stay exact.
+func (sc *conjScratch) flush() {
+	for i := range sc.probes {
+		pr := &sc.probes[i]
+		pr.rel.Flush(&pr.tally)
+		pr.rel = nil
 	}
 }
 
@@ -202,28 +239,34 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 	return c
 }
 
-// run evaluates the conjunction. slots/boundFlags carry the initial
-// bindings (length >= nslots); emit is called with the full slot array for
-// every solution and may return false to stop. The slot array is reused;
-// emit must copy what it keeps. run allocates a fresh scratch per call —
-// callers that evaluate many contexts should hold one scratch per
-// goroutine and use runS.
+// run evaluates the conjunction against the relations res names.
+// slots/boundFlags carry the initial bindings (length >= nslots); emit
+// is called with the full slot array for every solution and may return
+// false to stop. The slot array is reused; emit must copy what it keeps.
+// run allocates, resolves and flushes a fresh scratch per call — callers
+// that evaluate many contexts should hold one scratch per goroutine and
+// use runS.
 func (c *compiledConj) run(res resolver, slots []storage.Value, boundFlags []bool, emit func([]storage.Value) bool) {
-	c.step(0, res, slots, boundFlags, c.newScratch(), emit)
+	sc := c.newScratch()
+	sc.resolve(c, res)
+	c.step(0, slots, boundFlags, sc, emit)
+	sc.flush()
 }
 
 // runS is run with caller-owned scratch (from newScratch, one per
-// goroutine) — the zero-allocation traversal path.
-func (c *compiledConj) runS(res resolver, slots []storage.Value, boundFlags []bool, sc *conjScratch, emit func([]storage.Value) bool) {
-	c.step(0, res, slots, boundFlags, sc, emit)
+// goroutine), already resolved — the zero-allocation traversal path.
+// The caller flushes the scratch when its run of contexts ends.
+func (c *compiledConj) runS(slots []storage.Value, boundFlags []bool, sc *conjScratch, emit func([]storage.Value) bool) {
+	c.step(0, slots, boundFlags, sc, emit)
 }
 
-func (c *compiledConj) step(i int, res resolver, slots []storage.Value, bound []bool, sc *conjScratch, emit func([]storage.Value) bool) bool {
+func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conjScratch, emit func([]storage.Value) bool) bool {
 	if i == len(c.atoms) {
 		return emit(slots)
 	}
 	at := c.atoms[i]
-	rel := res(at.pred, at.alt)
+	pr := &sc.probes[i]
+	rel := pr.rel
 	if rel == nil {
 		return true
 	}
@@ -238,7 +281,7 @@ func (c *compiledConj) step(i int, res resolver, slots []storage.Value, bound []
 	}
 	cont := true
 	exist := len(c.existential) > 0 && c.existential[i]
-	rel.LookupBuf(bindings, sc.tupBuf, func(t storage.Tuple) bool {
+	rel.LookupBuf(bindings, sc.tupBuf, &pr.tally, func(t storage.Tuple) bool {
 		// Bind free slots; repeated free variables within the atom must
 		// agree. t is the lookup's reused buffer: everything read from it
 		// is copied into slots before the recursive step reuses it.
@@ -260,7 +303,7 @@ func (c *compiledConj) step(i int, res resolver, slots []storage.Value, bound []
 			newlyBound = append(newlyBound, a.slot)
 		}
 		if ok {
-			cont = c.step(i+1, res, slots, bound, sc, emit)
+			cont = c.step(i+1, slots, bound, sc, emit)
 		}
 		for _, s := range newlyBound {
 			bound[s] = false

@@ -65,7 +65,13 @@ func (p *Plan) EvalCounting(ctx context.Context, edb *storage.Database, maxDepth
 
 	f, g := p.compileF(syms, -1), p.compileG(syms, -1)
 	asm := assembler{srcs: fillQueryConsts(g.srcs, p.queryConsts(syms)), groups: groups, sink: insert}
-	fs, gs := f.scratch(nAnchors), g.scratch(p.Def.Arity())
+	// One scratch per operator for the whole run: relations resolved
+	// once, probe tallies published when the evaluation returns.
+	var fs, gs stepScratch
+	f.prepare(&fs, nAnchors, resolve)
+	g.prepare(&gs, p.Def.Arity(), resolve)
+	defer fs.sc.flush()
+	defer gs.sc.flush()
 	answer := func(s []storage.Value, anchors storage.Tuple) bool { return asm.emit(s, anchors, gs.out) }
 	for depth := 0; len(next) > 0; depth++ {
 		if err := ctx.Err(); err != nil {
@@ -78,7 +84,7 @@ func (p *Plan) EvalCounting(ctx context.Context, edb *storage.Database, maxDepth
 		stats.Iterations++
 		stats.SeenSize += len(level)
 		for _, c := range level {
-			g.step(resolve, c, nAnchors, &gs, answer)
+			g.step(c, nAnchors, &gs, answer)
 		}
 		if err := meter.Charge(len(level) + ans.Len() - charged); err != nil {
 			return nil, stats, err
@@ -86,7 +92,7 @@ func (p *Plan) EvalCounting(ctx context.Context, edb *storage.Database, maxDepth
 		charged = ans.Len()
 		dedup = storage.NewRelation(width, nil)
 		for _, c := range level {
-			f.step(resolve, c, nAnchors, &fs, keep)
+			f.step(c, nAnchors, &fs, keep)
 		}
 	}
 	return ans, stats, nil

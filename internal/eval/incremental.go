@@ -113,10 +113,25 @@ func streamed(ctx context.Context, ans *storage.Relation, emit func(storage.Tupl
 type incContext struct {
 	plan  *Plan
 	ce    *contextEval
-	fVars map[int]*fOps
-	gVars map[int]*gOps
+	fVars map[int]*fDelta
+	gVars map[int]*gDelta
 	dVars map[int]d0Ops
 	sVars map[int]seedOps
+}
+
+// fDelta is a cached f delta variant with the scratch of the one worker
+// it runs on, reused by every maintenance pass.
+type fDelta struct {
+	op fOps
+	ws [1]stepScratch
+}
+
+// gDelta is a cached g delta variant with its answer assembly and
+// one-worker scratch.
+type gDelta struct {
+	op  gOps
+	asm assembler
+	ws  [1]stepScratch
 }
 
 func (ic *incContext) Answers() *storage.Relation { return ic.ce.ans }
@@ -137,21 +152,21 @@ func cachedVar[V any](m *map[int]V, i int, compile func() V) V {
 }
 
 // fVar returns the f delta variant for recursive-body index i.
-func (ic *incContext) fVar(i int) *fOps {
-	return cachedVar(&ic.fVars, i, func() *fOps {
-		f := ic.plan.compileF(ic.ce.syms, i)
-		return &f
+func (ic *incContext) fVar(i int) *fDelta {
+	return cachedVar(&ic.fVars, i, func() *fDelta {
+		return &fDelta{op: ic.plan.compileF(ic.ce.syms, i)}
 	})
 }
 
 // gVar returns the g delta variant for exit-body index i, its
 // query-constant sources filled (they reference the variant's own slot
 // space, so they cannot be shared with the loop's g).
-func (ic *incContext) gVar(i int) *gOps {
-	return cachedVar(&ic.gVars, i, func() *gOps {
-		g := ic.plan.compileG(ic.ce.syms, i)
-		g.srcs = fillQueryConsts(g.srcs, ic.plan.queryConsts(ic.ce.syms))
-		return &g
+func (ic *incContext) gVar(i int) *gDelta {
+	return cachedVar(&ic.gVars, i, func() *gDelta {
+		v := &gDelta{op: ic.plan.compileG(ic.ce.syms, i), asm: ic.ce.asm}
+		v.op.srcs = fillQueryConsts(v.op.srcs, ic.plan.queryConsts(ic.ce.syms))
+		v.asm.srcs = v.op.srcs
+		return v
 	})
 }
 
@@ -274,12 +289,15 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 	// sub-microsecond lookup in the same small unsharded delta relation,
 	// and split across workers the maintained-insert benchmark ran
 	// slower.
+	var moved carrySlab
 	for i, a := range recBody {
 		if delta.Add[a.Pred] == nil {
 			continue
 		}
-		frontier = append(frontier, ce.fBatch(ic.fVar(i), dres, 1, old)...)
+		v := ic.fVar(i)
+		ce.fBatch(&v.op, v.ws[:], dres, old, &moved)
 	}
+	frontier = append(frontier, moved.tups...)
 
 	// 4. Fig. 9 loop over the new contexts, on the retained state.
 	if len(frontier) > 0 {
@@ -293,7 +311,8 @@ func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta D
 		if delta.Add[a.Pred] == nil {
 			continue
 		}
-		ce.gBatch(ic.gVar(i), dres, 1, old)
+		v := ic.gVar(i)
+		ce.gBatch(&v.op, &v.asm, v.ws[:], dres, old)
 	}
 
 	ce.stats.SeenSize = ce.seen.Len()

@@ -472,10 +472,42 @@ type contextEval struct {
 
 	// f and g are the loop's operators, g's query-constant sources
 	// filled; groups are the materialized factor groups g's answers
-	// cross in.
+	// cross in, and asm assembles g's solutions into answers.
 	f      fOps
 	g      gOps
 	groups []groupResult
+	asm    assembler
+
+	// fws and gws hold one scratch per worker for f and g, reused across
+	// every level of run and of Update's loops. fout holds the per-worker
+	// successor buffers of a split f batch, and slabs the two alternating
+	// level buffers of loop: level n+1 is built in one while level n,
+	// its input, is read from the other. The buffers are dropped when a
+	// loop ends, so a retained state does not pin its widest level.
+	fws, gws []stepScratch
+	fout     []carrySlab
+	slabs    [2]carrySlab
+}
+
+// carrySlab is a reusable buffer of carry tuples: their values laid out
+// back to back and a tuple view of each. Pushing copies the tuple in;
+// reset keeps the capacity, so a slab that has grown to a level's size
+// takes the next level without allocating.
+type carrySlab struct {
+	vals []storage.Value
+	tups []storage.Tuple
+}
+
+func (s *carrySlab) reset() {
+	s.vals, s.tups = s.vals[:0], s.tups[:0]
+}
+
+// push appends a copy of t. Views taken before a growth keep pointing at
+// the previous backing array, whose values stay intact until reset.
+func (s *carrySlab) push(t storage.Tuple) {
+	off := len(s.vals)
+	s.vals = append(s.vals, t...)
+	s.tups = append(s.tups, s.vals[off:len(s.vals):len(s.vals)])
 }
 
 // altFlagsFor builds the compileConj altFlags slice marking index
@@ -572,6 +604,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 		bound := make([]bool, d.nslots)
 		out := p.queryConsts(syms)
 		sc := c.newScratch()
+		sc.resolve(c, resolve)
 		// Worker-local dedup in front of the shared sink: projections
 		// are duplicate-heavy (most join solutions collapse onto answers
 		// already produced), and re-offering them would have every
@@ -592,9 +625,10 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 		for ri := lo; ri < hi && !stop.Load(); ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
 			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, resolve, slots, bound, sc, emit)
+				c.step(1, slots, bound, sc, emit)
 			}
 		}
+		sc.flush()
 	})
 }
 
@@ -718,6 +752,7 @@ func (so seedOps) runParallel(p *Plan, resolve resolver, workers int, yield func
 		bound := make([]bool, so.nslots)
 		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 		sc := c.newScratch()
+		sc.resolve(c, resolve)
 		emit := func(s []storage.Value) bool {
 			so.proj.project(s, tup)
 			yield(w, tup)
@@ -726,9 +761,10 @@ func (so seedOps) runParallel(p *Plan, resolve resolver, workers int, yield func
 		for ri := lo; ri < hi; ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
 			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, resolve, slots, bound, sc, emit)
+				c.step(1, slots, bound, sc, emit)
 			}
 		}
+		sc.flush()
 	})
 }
 
@@ -839,9 +875,11 @@ func (p *Plan) compileF(syms *storage.SymbolTable, altIdx int) fOps {
 // stepScratch is one worker's reusable state for the per-context f and
 // g steps: the operator conjunction's slots, bound flags and lookup
 // scratch, plus out, the tuple the step writes (a successor carry tuple
-// for f, an answer for g). Drivers allocate one per parallel chunk and
-// reuse it across the chunk's contexts; it must not be shared across
-// goroutines.
+// for f, an answer for g). Drivers keep one per worker and reuse it
+// across contexts — the Fig. 9 loop across every level of a run and of
+// Update's loop. A chunk resolves its relations when it starts and
+// flushes its probe tallies when it ends (see conjScratch). It must not
+// be shared across goroutines.
 type stepScratch struct {
 	slots []storage.Value
 	bound []bool
@@ -872,20 +910,24 @@ func (ws *stepScratch) bind(ctxSlots []int, c storage.Tuple, nAnchors int) stora
 	return c[:nAnchors]
 }
 
-// scratch allocates a worker's stepScratch for f over carry tuples with
-// nAnchors anchors.
-func (f *fOps) scratch(nAnchors int) stepScratch {
-	return newStepScratch(f.conj, f.nslots, nAnchors+len(f.headSlots))
+// prepare readies a worker's scratch for a chunk of f steps over carry
+// tuples with nAnchors anchors: allocated on first use, then resolved
+// through res.
+func (f *fOps) prepare(ws *stepScratch, nAnchors int, res resolver) {
+	if ws.slots == nil {
+		*ws = newStepScratch(f.conj, f.nslots, nAnchors+len(f.headSlots))
+	}
+	ws.sc.resolve(f.conj, res)
 }
 
 // step applies f to one carried context c: the recursive rule one level
-// deeper, with c's context columns bound. Each successor carry tuple
-// (c's anchors passed through, then the new context columns) goes to
-// yield as ws.out scratch — copy to retain; successors may repeat and
-// the driver deduplicates.
-func (f *fOps) step(res resolver, c storage.Tuple, nAnchors int, ws *stepScratch, yield func(storage.Tuple)) {
+// deeper, with c's context columns bound, probing the relations ws was
+// resolved to. Each successor carry tuple (c's anchors passed through,
+// then the new context columns) goes to yield as ws.out scratch — copy
+// to retain; successors may repeat and the driver deduplicates.
+func (f *fOps) step(c storage.Tuple, nAnchors int, ws *stepScratch, yield func(storage.Tuple)) {
 	anchors := ws.bind(f.headSlots, c, nAnchors)
-	f.conj.runS(res, ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
+	f.conj.runS(ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
 		f.proj.projectCtx(s, anchors, ws.out)
 		yield(ws.out)
 		return true
@@ -975,18 +1017,23 @@ func (p *Plan) compileG(syms *storage.SymbolTable, altIdx int) gOps {
 	return g
 }
 
-// scratch allocates a worker's stepScratch for g; out is the answer
-// tuple assembler.emit writes.
-func (g *gOps) scratch(arity int) stepScratch {
-	return newStepScratch(g.conj, g.nslots, arity)
+// prepare readies a worker's scratch for a chunk of g steps: allocated
+// on first use, with out the arity-wide answer tuple assembler.emit
+// writes, then resolved through res.
+func (g *gOps) prepare(ws *stepScratch, arity int, res resolver) {
+	if ws.slots == nil {
+		*ws = newStepScratch(g.conj, g.nslots, arity)
+	}
+	ws.sc.resolve(g.conj, res)
 }
 
-// step joins one carried context c with the exit rule: each join
-// solution goes to solution with c's anchor part, and a false return
-// stops the join. One step is one g-probe.
-func (g *gOps) step(res resolver, c storage.Tuple, nAnchors int, ws *stepScratch, solution func(s []storage.Value, anchors storage.Tuple) bool) {
+// step joins one carried context c with the exit rule, probing the
+// relations ws was resolved to: each join solution goes to solution
+// with c's anchor part, and a false return stops the join. One step is
+// one g-probe.
+func (g *gOps) step(c storage.Tuple, nAnchors int, ws *stepScratch, solution func(s []storage.Value, anchors storage.Tuple) bool) {
 	anchors := ws.bind(g.ctxSlots, c, nAnchors)
-	g.conj.runS(res, ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
+	g.conj.runS(ws.slots, ws.bound, &ws.sc, func(s []storage.Value) bool {
 		return solution(s, anchors)
 	})
 }
@@ -1176,6 +1223,9 @@ func (ce *contextEval) run(ctx context.Context) error {
 	ce.f = p.compileF(syms, -1)
 	ce.g = p.compileG(syms, -1)
 	ce.g.srcs = fillQueryConsts(ce.g.srcs, p.queryConsts(syms))
+	ce.asm = assembler{srcs: ce.g.srcs, groups: groups, sink: ce.emitAnswer}
+	ce.fws = make([]stepScratch, ce.workers)
+	ce.gws = make([]stepScratch, ce.workers)
 	if err := ce.loop(ctx, meter, carry); err != nil {
 		return err
 	}
@@ -1187,11 +1237,13 @@ func (ce *contextEval) run(ctx context.Context) error {
 
 // loop is the Fig. 9 while loop from a batch of new contexts, one
 // parallel batch per level: g joins the level's contexts (streaming
-// their answers) and f produces the next level, until no new contexts
-// appear. Gas is charged once per iteration.
+// their answers) and f produces the next level into the slab the level
+// before last used, until no new contexts appear. Gas is charged once
+// per iteration.
 func (ce *contextEval) loop(ctx context.Context, meter *Meter, carry []storage.Tuple) error {
+	defer ce.dropLevels()
 	ce.stats.Batches++
-	ce.gBatch(&ce.g, ce.resolve, ce.workers, carry)
+	ce.gBatch(&ce.g, &ce.asm, ce.gws, ce.resolve, carry)
 	for len(carry) > 0 && !ce.aborted.Load() {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -1201,13 +1253,21 @@ func (ce *contextEval) loop(ctx context.Context, meter *Meter, carry []storage.T
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		carry = ce.fBatch(&ce.f, ce.resolve, ce.workers, carry)
+		next := &ce.slabs[ce.stats.Iterations&1]
+		next.reset()
+		ce.fBatch(&ce.f, ce.fws, ce.resolve, carry, next)
+		carry = next.tups
 		if hook := ce.p.TestIterHook; hook != nil {
 			hook(ce.stats.Iterations)
 		}
-		ce.gBatch(&ce.g, ce.resolve, ce.workers, carry)
+		ce.gBatch(&ce.g, &ce.asm, ce.gws, ce.resolve, carry)
 	}
 	return nil
+}
+
+// dropLevels releases the level buffers when a loop ends.
+func (ce *contextEval) dropLevels() {
+	ce.fout, ce.slabs = nil, [2]carrySlab{}
 }
 
 // charge meters the derived-tuple budget at batch granularity: the
@@ -1246,55 +1306,91 @@ func (ce *contextEval) finish(ctx context.Context) error {
 }
 
 // fBatch applies f — the loop's operator or a delta variant, resolved
-// through res — to a carry batch, split across up to workers workers,
-// and returns the genuinely new contexts. Workers claim contexts through
-// the shared seen-set (Offer returns true exactly once per tuple), so
-// the returned level is a set no matter how the batch was partitioned.
-func (ce *contextEval) fBatch(f *fOps, res resolver, workers int, carry []storage.Tuple) []storage.Tuple {
-	results := make([][]storage.Tuple, workers)
-	parallelFor(workers, len(carry), func(w, lo, hi int) {
-		ws := f.scratch(ce.nAnchors)
-		var local []storage.Tuple
-		claim := func(tup storage.Tuple) {
-			if ce.seen.Offer(tup) {
-				local = append(local, tup.Clone())
-			}
-		}
-		for _, c := range carry[lo:hi] {
-			if ce.aborted.Load() {
-				break
-			}
-			f.step(res, c, ce.nAnchors, &ws, claim)
-		}
-		results[w] = local
-	})
-	var next []storage.Tuple
-	for _, r := range results {
-		next = append(next, r...)
+// through res — to a carry batch, split across up to len(ws) workers
+// (ws holds one scratch per worker, dedicated to f), and appends the
+// genuinely new contexts to dst. Workers claim contexts through the
+// shared seen-set (Offer returns true exactly once per tuple), so the
+// level is a set no matter how the batch was partitioned. A batch the
+// split rule leaves in one chunk runs on the calling goroutine,
+// straight into dst.
+func (ce *contextEval) fBatch(f *fOps, ws []stepScratch, res resolver, carry []storage.Tuple, dst *carrySlab) {
+	if len(carry) == 0 {
+		return
 	}
-	return next
+	if inline(len(ws), len(carry)) {
+		ce.fChunk(f, &ws[0], res, carry, dst)
+		return
+	}
+	if len(ce.fout) < len(ws) {
+		ce.fout = make([]carrySlab, len(ws))
+	}
+	for w := range ce.fout {
+		ce.fout[w].reset()
+	}
+	parallelFor(len(ws), len(carry), func(w, lo, hi int) {
+		ce.fChunk(f, &ws[w], res, carry[lo:hi], &ce.fout[w])
+	})
+	for w := range ce.fout {
+		for _, t := range ce.fout[w].tups {
+			dst.push(t)
+		}
+	}
+}
+
+// fChunk is one worker's share of an f batch: it prepares the worker's
+// scratch, steps each context, pushes the successors it claims to out,
+// and flushes the probe tallies.
+func (ce *contextEval) fChunk(f *fOps, ws *stepScratch, res resolver, carry []storage.Tuple, out *carrySlab) {
+	f.prepare(ws, ce.nAnchors, res)
+	claim := func(tup storage.Tuple) {
+		if ce.seen.Offer(tup) {
+			out.push(tup)
+		}
+	}
+	for _, c := range carry {
+		if ce.aborted.Load() {
+			break
+		}
+		f.step(c, ce.nAnchors, ws, claim)
+	}
+	ws.sc.flush()
 }
 
 // gBatch joins a batch of contexts with g — the loop's operator or a
-// delta variant, resolved through res — and emits the assembled
-// answers, split across up to workers workers. Each context's probe is
-// independent, so partitioning is safe; answer dedup happens in the
-// sharded answer relation.
-func (ce *contextEval) gBatch(g *gOps, res resolver, workers int, batch []storage.Tuple) {
+// delta variant, resolved through res — and emits the answers asm
+// assembles, split across up to len(ws) workers (one scratch per
+// worker, dedicated to g). Each context's probe is independent, so
+// partitioning is safe; answer dedup happens in the sharded answer
+// relation. A batch the split rule leaves in one chunk runs on the
+// calling goroutine.
+func (ce *contextEval) gBatch(g *gOps, asm *assembler, ws []stepScratch, res resolver, batch []storage.Tuple) {
 	ce.stats.GProbes += len(batch)
-	parallelFor(workers, len(batch), func(w, lo, hi int) {
-		ws := g.scratch(ce.p.Def.Arity())
-		asm := assembler{srcs: g.srcs, groups: ce.groups, sink: ce.emitAnswer}
-		answer := func(s []storage.Value, anchors storage.Tuple) bool {
-			return asm.emit(s, anchors, ws.out)
-		}
-		for _, c := range batch[lo:hi] {
-			if ce.aborted.Load() {
-				return
-			}
-			g.step(res, c, ce.nAnchors, &ws, answer)
-		}
+	if len(batch) == 0 {
+		return
+	}
+	if inline(len(ws), len(batch)) {
+		ce.gChunk(g, asm, &ws[0], res, batch)
+		return
+	}
+	parallelFor(len(ws), len(batch), func(w, lo, hi int) {
+		ce.gChunk(g, asm, &ws[w], res, batch[lo:hi])
 	})
+}
+
+// gChunk is one worker's share of a g batch: prepare, step each
+// context, flush.
+func (ce *contextEval) gChunk(g *gOps, asm *assembler, ws *stepScratch, res resolver, batch []storage.Tuple) {
+	g.prepare(ws, ce.p.Def.Arity(), res)
+	answer := func(s []storage.Value, anchors storage.Tuple) bool {
+		return asm.emit(s, anchors, ws.out)
+	}
+	for _, c := range batch {
+		if ce.aborted.Load() {
+			break
+		}
+		g.step(c, ce.nAnchors, ws, answer)
+	}
+	ws.sc.flush()
 }
 
 // emitAnswer records one answer tuple, forwarding genuinely new tuples to

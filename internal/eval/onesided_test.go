@@ -10,7 +10,7 @@ import (
 	"repro/internal/storage"
 )
 
-func mustDef(t *testing.T, src, pred string) *ast.Definition {
+func mustDef(t testing.TB, src, pred string) *ast.Definition {
 	t.Helper()
 	d, err := parser.ParseDefinition(src, pred)
 	if err != nil {

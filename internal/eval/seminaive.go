@@ -33,7 +33,7 @@ type compiledRule struct {
 	edbVariants map[int]ruleVariant
 	// check is the head-bound satisfiability variant DRed's rederive
 	// phase probes ("is this head tuple still derivable by this rule?"),
-	// built lazily on the first retraction (see snState.derivable).
+	// built lazily on the first retraction (see rederiver.derivable).
 	check *headCheck
 }
 
@@ -719,16 +719,18 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 			return err
 		}
 		rederived := st.freshDelta()
+		rd := st.newRederiver()
 		any := false
 		for pred, c := range cand {
 			rel := st.idb.Relation(pred)
 			for _, t := range c.Tuples() {
-				if st.derivable(pred, t) && rel.Insert(t) {
+				if rd.derivable(pred, t) && rel.Insert(t) {
 					rederived[pred].Insert(t)
 					any = true
 				}
 			}
 		}
+		rd.flush()
 		if any {
 			if err := st.deltaLoop(ctx, rederived, onNew); err != nil {
 				return err
@@ -758,24 +760,34 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 	return ctx.Err()
 }
 
+// rederiver is one rederive pass's derivability test: per rule, the
+// head-bound check's scratch — slots, bound flags and lookup state —
+// allocated and resolved against the post-deletion state on the rule's
+// first candidate, then reused for every other candidate of the pass.
+type rederiver struct {
+	st  *snState
+	res resolver
+	ws  map[*compiledRule]*stepScratch
+}
+
+func (st *snState) newRederiver() *rederiver {
+	return &rederiver{st: st, res: st.resolve(nil), ws: make(map[*compiledRule]*stepScratch)}
+}
+
 // derivable reports whether t still has a derivation for pred in the
 // current state: a same-name EDB seed, a program fact, or a rule body
 // witness found by the head-bound satisfiability check.
-func (st *snState) derivable(pred string, t storage.Tuple) bool {
+func (rd *rederiver) derivable(pred string, t storage.Tuple) bool {
+	st := rd.st
 	if seed := st.edb.Relation(pred); seed != nil && seed.Arity() == len(t) && seed.Contains(t) {
 		return true
 	}
 	if fr := st.factRels[pred]; fr != nil && fr.Contains(t) {
 		return true
 	}
-	res := st.resolve(nil)
 	for _, cr := range st.rulesByHead[pred] {
-		if cr.check == nil {
-			cr.check = compileHeadCheck(cr.src, st.cp.idb, st.edb.Syms)
-		}
-		hc := cr.check
-		slots := make([]storage.Value, hc.conj.nslots)
-		bound := make([]bool, hc.conj.nslots)
+		hc, ws := rd.check(cr)
+		clear(ws.bound)
 		ok := true
 		for i, h := range hc.head {
 			if h.isConst {
@@ -785,22 +797,21 @@ func (st *snState) derivable(pred string, t storage.Tuple) bool {
 				}
 				continue
 			}
-			if bound[h.slot] {
-				if slots[h.slot] != t[i] {
+			if ws.bound[h.slot] {
+				if ws.slots[h.slot] != t[i] {
 					ok = false
 					break
 				}
 				continue
 			}
-			slots[h.slot] = t[i]
-			bound[h.slot] = true
+			ws.slots[h.slot] = t[i]
+			ws.bound[h.slot] = true
 		}
 		if !ok {
 			continue
 		}
 		found := false
-		sc := hc.conj.newScratch()
-		hc.conj.runS(res, slots, bound, sc, func([]storage.Value) bool {
+		hc.conj.runS(ws.slots, ws.bound, &ws.sc, func([]storage.Value) bool {
 			found = true
 			return false
 		})
@@ -809,6 +820,30 @@ func (st *snState) derivable(pred string, t storage.Tuple) bool {
 		}
 	}
 	return false
+}
+
+// check returns cr's head check, compiled on first use, and the pass's
+// scratch for it.
+func (rd *rederiver) check(cr *compiledRule) (*headCheck, *stepScratch) {
+	if cr.check == nil {
+		cr.check = compileHeadCheck(cr.src, rd.st.cp.idb, rd.st.edb.Syms)
+	}
+	ws := rd.ws[cr]
+	if ws == nil {
+		c := cr.check.conj
+		w := newStepScratch(c, c.nslots, 0)
+		w.sc.resolve(c, rd.res)
+		ws = &w
+		rd.ws[cr] = ws
+	}
+	return cr.check, ws
+}
+
+// flush publishes the pass's probe tallies.
+func (rd *rederiver) flush() {
+	for _, ws := range rd.ws {
+		ws.sc.flush()
+	}
 }
 
 // deriveVariant runs one delta variant of a rule, feeding every derived

@@ -26,7 +26,7 @@ const tcSrc = `
 	t(X, Y) :- b(X, Y).
 `
 
-func mustProgram(t *testing.T, src string) *ast.Program {
+func mustProgram(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	p, err := parser.ParseProgram(src)
 	if err != nil {

@@ -154,12 +154,15 @@ func TestWriteHotPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkLayer/storage/* measures the storage write layer on a tracked
-// relation with the database's default sharding: a single-tuple Insert
-// of a fresh tuple, a 1024-tuple InsertBatch, an Offer of a duplicate
-// (the evaluator's seen-set probe), and a single-tuple Retract.
-// Relations are rebuilt off the clock so op cost does not drift with
-// size. Reproduce with:
+// BenchmarkLayer/storage/* measures the storage layer on a tracked
+// relation with the database's default sharding. Writes: a single-tuple
+// Insert of a fresh tuple, a 1024-tuple InsertBatch, an Offer of a
+// duplicate (the evaluator's seen-set probe), and a single-tuple
+// Retract; relations are rebuilt off the clock so op cost does not
+// drift with size. Reads, through the evaluator's probe path (LookupBuf
+// with a caller buffer and tally): a posting-list lookup bound on the
+// shard column, 16 matches per key, and a full scan of 64Ki tuples,
+// reported per tuple. Reproduce with:
 //
 //	go test -run '^$' -bench 'BenchmarkLayer' ./internal/storage
 func BenchmarkLayer(b *testing.B) {
@@ -215,6 +218,45 @@ func BenchmarkLayer(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r.Offer(tuples[i%len(tuples)])
 		}
+	})
+	read := NewDatabase().Ensure("e", 2)
+	for k := 0; k < span; k++ {
+		read.Insert(Tuple{Value(k % 4096), Value(k)})
+	}
+	b.Run("storage/lookup", func(b *testing.B) {
+		buf := make(Tuple, 2)
+		bind := []Binding{{Col: 0}}
+		var tally Tally
+		matched := 0
+		count := func(Tuple) bool { matched++; return true }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bind[0].Val = Value(i % 4096)
+			read.LookupBuf(bind, buf, &tally, count)
+		}
+		b.StopTimer()
+		read.Flush(&tally)
+		if matched != 16*b.N {
+			b.Fatalf("matched %d tuples, want %d", matched, 16*b.N)
+		}
+	})
+	b.Run("storage/scan", func(b *testing.B) {
+		buf := make(Tuple, 2)
+		var tally Tally
+		seen := 0
+		count := func(Tuple) bool { seen++; return true }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read.LookupBuf(nil, buf, &tally, count)
+		}
+		b.StopTimer()
+		read.Flush(&tally)
+		if seen != span*b.N {
+			b.Fatalf("scanned %d tuples, want %d", seen, span*b.N)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*span), "ns/tuple")
 	})
 	b.Run("storage/retract", func(b *testing.B) {
 		b.ReportAllocs()

@@ -177,9 +177,11 @@ func (st *SymbolTable) Len() int {
 // tuple retractions.
 //
 // All updates are atomic, so Counters may be shared across goroutines.
-// Direct field reads are fine when the database is quiesced (the usual
-// measure-after-evaluating pattern); use Snapshot while writers may
-// still be running.
+// Probe counts arrive in batches: Lookup and Scan publish theirs when
+// they return, and evaluator loops probing through LookupBuf publish a
+// Tally once per run of probes. Direct field reads are fine when the
+// database is quiesced (the usual measure-after-evaluating pattern); use
+// Snapshot while writers may still be running.
 //
 // Alignment: the fields are operated on with 64-bit atomics, so a
 // Counters must be 64-bit aligned — heap-allocated (any value whose
@@ -222,6 +224,35 @@ func (c Counters) Sub(other Counters) Counters {
 		Inserts:        c.Inserts - other.Inserts,
 		Retracts:       c.Retracts - other.Retracts,
 	}
+}
+
+// Tally is a single-goroutine count of the probe work one run of
+// lookups and scans did: the Counters fields they feed, kept with plain
+// adds. A probe loop passes its tally to LookupBuf on every probe and
+// publishes it with Relation.Flush once per run, so concurrent queries
+// stop bouncing the shared counters' cache lines on every probe while
+// the published totals stay exact.
+type Tally struct {
+	TuplesExamined int64
+	IndexLookups   int64
+	FullScans      int64
+}
+
+// Flush adds t to the relation's counters, when it has any, and zeroes
+// t. A nil relation (an absent predicate) publishes nothing.
+func (r *Relation) Flush(t *Tally) {
+	if r != nil && r.stats != nil {
+		if t.TuplesExamined != 0 {
+			atomic.AddInt64(&r.stats.TuplesExamined, t.TuplesExamined)
+		}
+		if t.IndexLookups != 0 {
+			atomic.AddInt64(&r.stats.IndexLookups, t.IndexLookups)
+		}
+		if t.FullScans != 0 {
+			atomic.AddInt64(&r.stats.FullScans, t.FullScans)
+		}
+	}
+	*t = Tally{}
 }
 
 // Add accumulates other into c.
@@ -1054,21 +1085,17 @@ func (r *Relation) Tuples() []Tuple {
 // returns — copy it to keep it. Tuples are counted as examined only up
 // to the point the caller stops.
 func (r *Relation) Scan(yield func(Tuple) bool) {
-	r.scanBuf(make(Tuple, r.arity), yield)
+	var t Tally
+	r.scanBuf(make(Tuple, r.arity), &t, yield)
+	r.Flush(&t)
 }
 
-// scanBuf is Scan yielding through the caller's buffer (len >= arity).
-func (r *Relation) scanBuf(buf Tuple, yield func(Tuple) bool) {
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.FullScans, 1)
-	}
+// scanBuf is Scan yielding through the caller's buffer (len >= arity)
+// and counting into the caller's tally.
+func (r *Relation) scanBuf(buf Tuple, t *Tally, yield func(Tuple) bool) {
+	t.FullScans++
 	scratch := buf[:r.arity]
 	examined := int64(0)
-	defer func() {
-		if r.stats != nil && examined > 0 {
-			atomic.AddInt64(&r.stats.TuplesExamined, examined)
-		}
-	}()
 	for i := range r.shards {
 		v := r.shards[i].view()
 		for row := 0; row < v.rows; row++ {
@@ -1078,10 +1105,12 @@ func (r *Relation) scanBuf(buf Tuple, yield func(Tuple) bool) {
 			v.read(row, scratch)
 			examined++
 			if !yield(scratch) {
+				t.TuplesExamined += examined
 				return
 			}
 		}
 	}
+	t.TuplesExamined += examined
 }
 
 // ensureIndexLocked builds the shard's posting-list index for a column
@@ -1124,39 +1153,41 @@ type Binding struct {
 // The yielded tuple is a reused scratch buffer, valid only until yield
 // returns — copy it to keep it.
 func (r *Relation) Lookup(bindings []Binding, yield func(Tuple) bool) {
-	r.LookupBuf(bindings, make(Tuple, r.arity), yield)
+	var t Tally
+	r.LookupBuf(bindings, make(Tuple, r.arity), &t, yield)
+	r.Flush(&t)
 }
 
 // LookupBuf is Lookup yielding through the caller's buffer (len >=
-// arity) — the zero-allocation probe path for evaluator inner loops that
-// hold one buffer per goroutine.
-func (r *Relation) LookupBuf(bindings []Binding, buf Tuple, yield func(Tuple) bool) {
+// arity) and counting into the caller's tally instead of the shared
+// counters — the zero-allocation probe path for evaluator inner loops,
+// which hold one buffer and one tally per goroutine and Flush the tally
+// once per run of probes.
+func (r *Relation) LookupBuf(bindings []Binding, buf Tuple, t *Tally, yield func(Tuple) bool) {
 	if len(bindings) == 0 {
-		r.scanBuf(buf, yield)
+		r.scanBuf(buf, t, yield)
 		return
 	}
 	scratch := buf[:r.arity]
 	if len(r.shards) > 1 {
 		for _, b := range bindings {
 			if b.Col == ShardColumn {
-				r.shards[r.shardIndex(b.Val)].lookup(bindings, r.stats, scratch, yield)
+				r.shards[r.shardIndex(b.Val)].lookup(bindings, t, scratch, yield)
 				return
 			}
 		}
 	}
 	for i := range r.shards {
-		if !r.shards[i].lookup(bindings, r.stats, scratch, yield) {
+		if !r.shards[i].lookup(bindings, t, scratch, yield) {
 			return
 		}
 	}
 }
 
-// lookup probes one shard, recording one index probe, and returns false
+// lookup probes one shard, counting one index probe, and returns false
 // when yield stopped the iteration.
-func (sh *shard) lookup(bindings []Binding, stats *Counters, scratch Tuple, yield func(Tuple) bool) bool {
-	if stats != nil {
-		atomic.AddInt64(&stats.IndexLookups, 1)
-	}
+func (sh *shard) lookup(bindings []Binding, t *Tally, scratch Tuple, yield func(Tuple) bool) bool {
+	t.IndexLookups++
 	sh.mu.RLock()
 	missing := false
 	for _, b := range bindings {
@@ -1209,15 +1240,11 @@ outer:
 			}
 		}
 		if !yield(scratch) {
-			if stats != nil && examined > 0 {
-				atomic.AddInt64(&stats.TuplesExamined, examined)
-			}
+			t.TuplesExamined += examined
 			return false
 		}
 	}
-	if stats != nil && examined > 0 {
-		atomic.AddInt64(&stats.TuplesExamined, examined)
-	}
+	t.TuplesExamined += examined
 	return true
 }
 

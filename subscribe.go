@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strings"
 
 	"repro/internal/parser"
 	"repro/internal/storage"
@@ -120,7 +119,7 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 		done:   make(chan struct{}),
 		cancel: cancel,
 	}
-	prev := answerSet(rows.rel, e.db.Syms)
+	prev, initial := answerSnapshot(rows.rel)
 	epoch := e.db.Epoch()
 	go func() {
 		defer close(sub.done)
@@ -128,7 +127,7 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 		defer stopWatch()
 		defer cancel()
 		defer e.subs.Add(-1)
-		if !sub.push(sctx, SubEvent{Epoch: epoch, Add: sortedRows(prev)}) {
+		if !sub.push(sctx, SubEvent{Epoch: epoch, Add: renderRows(initial, e.db.Syms)}) {
 			return
 		}
 		for {
@@ -146,9 +145,9 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 				}
 				return
 			}
-			cur := answerSet(rows.rel, e.db.Syms)
+			cur, tuples := answerSnapshot(rows.rel)
 			at := e.db.Epoch()
-			add, remove := diffAnswers(prev, cur)
+			add, remove := diffAnswers(prev, cur, tuples, e.db.Syms)
 			prev = cur
 			if len(add) == 0 && len(remove) == 0 {
 				continue // the change didn't touch this query's answers
@@ -164,44 +163,50 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 // Subscriptions reports the engine's currently open subscription count.
 func (e *Engine) Subscriptions() int64 { return e.subs.Load() }
 
-// answerSet snapshots a result relation as row strings keyed for
-// diffing. The snapshot is essential: a maintained entry's relation is
-// updated in place by later deltas, so diffing against the live object
-// would compare a set with itself.
-func answerSet(rel *storage.Relation, syms *storage.SymbolTable) map[string][]string {
-	out := make(map[string][]string, rel.Len())
-	for _, t := range rel.Tuples() {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = syms.Name(v)
-		}
-		out[strings.Join(row, "\x1f")] = row
-	}
-	return out
+// answerSnapshot copies a result relation's tuples into a relation of
+// their own for diffing, returning it with the copied tuples. The copy
+// is essential: a maintained entry's relation is updated in place by
+// later deltas, so diffing against the live object would compare a set
+// with itself.
+func answerSnapshot(rel *storage.Relation) (*storage.Relation, []storage.Tuple) {
+	tuples := rel.Tuples()
+	snap := storage.NewRelation(rel.Arity(), nil)
+	snap.InsertBatch(tuples)
+	return snap, tuples
 }
 
 // diffAnswers computes the signed difference between two answer
-// snapshots, each side sorted for deterministic delivery.
-func diffAnswers(prev, cur map[string][]string) (add, remove [][]string) {
-	for k, row := range cur {
-		if _, ok := prev[k]; !ok {
-			add = append(add, row)
+// snapshots on their interned tuples — curTuples are cur's — and
+// renders only the rows that changed, each side sorted for
+// deterministic delivery.
+func diffAnswers(prev, cur *storage.Relation, curTuples []storage.Tuple, syms *storage.SymbolTable) (add, remove [][]string) {
+	var added, removed []storage.Tuple
+	for _, t := range curTuples {
+		if !prev.Contains(t) {
+			added = append(added, t)
 		}
 	}
-	for k, row := range prev {
-		if _, ok := cur[k]; !ok {
-			remove = append(remove, row)
+	for _, t := range prev.Tuples() {
+		if !cur.Contains(t) {
+			removed = append(removed, t)
 		}
 	}
-	sortRows(add)
-	sortRows(remove)
-	return add, remove
+	return renderRows(added, syms), renderRows(removed, syms)
 }
 
-func sortedRows(set map[string][]string) [][]string {
-	rows := make([][]string, 0, len(set))
-	for _, row := range set {
-		rows = append(rows, row)
+// renderRows names the tuples' values, sorted row by row; nil when
+// there are none.
+func renderRows(tuples []storage.Tuple, syms *storage.SymbolTable) [][]string {
+	if len(tuples) == 0 {
+		return nil
+	}
+	rows := make([][]string, len(tuples))
+	for i, t := range tuples {
+		row := make([]string, len(t))
+		for j, v := range t {
+			row[j] = syms.Name(v)
+		}
+		rows[i] = row
 	}
 	sortRows(rows)
 	return rows

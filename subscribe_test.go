@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/storage"
 )
 
 // applyEvent folds one SubEvent into a row set (Remove then Add).
@@ -233,5 +234,36 @@ func TestSubscribeCoalesces(t *testing.T) {
 		}
 		t.Fatalf("subscription closed: %v", sub.Err())
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestDiffAnswersRendersChangedRowsSorted: the pump diffs interned
+// snapshots and renders only the rows that changed, each side sorted by
+// the rows' string form — not by interned value order, which here runs
+// the other way (q is interned before p, b before a).
+func TestDiffAnswersRendersChangedRowsSorted(t *testing.T) {
+	syms := storage.NewSymbolTable()
+	tup := func(names ...string) storage.Tuple {
+		out := make(storage.Tuple, len(names))
+		for i, n := range names {
+			out[i] = syms.Intern(n)
+		}
+		return out
+	}
+	live := storage.NewRelation(2, nil)
+	live.InsertBatch([]storage.Tuple{tup("q", "z"), tup("q", "y"), tup("q", "keep")})
+	prev, _ := answerSnapshot(live)
+	live.RetractBatch([]storage.Tuple{tup("q", "z"), tup("q", "y")})
+	live.InsertBatch([]storage.Tuple{tup("q", "b"), tup("q", "a"), tup("p", "c")})
+	cur, tuples := answerSnapshot(live)
+	add, remove := diffAnswers(prev, cur, tuples, syms)
+	if got, want := fmt.Sprint(add), "[[p c] [q a] [q b]]"; got != want {
+		t.Errorf("add = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(remove), "[[q y] [q z]]"; got != want {
+		t.Errorf("remove = %s, want %s", got, want)
+	}
+	if add, remove := diffAnswers(cur, cur, tuples, syms); add != nil || remove != nil {
+		t.Errorf("self-diff = %v, %v, want none", add, remove)
 	}
 }
